@@ -131,12 +131,13 @@ ProbeReply AnycastSite::probe(net::Ipv4Addr source,
                               const std::vector<std::uint8_t>& query_wire,
                               net::SimTime now, util::Rng& rng) {
   const auto query = dns::decode(query_wire);
-  if (!query) return ProbeReply{};
+  if (!query) return {};
   return probe(source, *query, now, rng);
 }
 
 ProbeReply AnycastSite::probe(net::Ipv4Addr source, const dns::Message& query,
-                              net::SimTime now, util::Rng& rng) {
+                              net::SimTime /*now: CHAOS is exempt from RRL*/,
+                              util::Rng& rng) {
   ProbeReply reply;
   if (scope_ == SiteScope::kDown) return reply;
 
@@ -165,14 +166,14 @@ ProbeReply AnycastSite::probe(net::Ipv4Addr source, const dns::Message& query,
 
   if (rng.chance(loss)) return reply;
 
-  auto response = servers_[static_cast<std::size_t>(server_index)].dns().answer(
-      query, source, now);
-  if (!response) return reply;
+  reply.wire.size =
+      servers_[static_cast<std::size_t>(server_index)].dns().write_chaos_reply(
+          query, reply.wire.bytes);
+  if (reply.wire.size == 0) return reply;
 
   reply.answered = true;
   reply.server = server_index + 1;
   reply.extra_delay_ms = delay_ms * rng.uniform(0.85, 1.1);
-  reply.wire = dns::encode(*response);
   return reply;
 }
 

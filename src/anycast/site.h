@@ -2,8 +2,10 @@
 // queue, with a stress policy and (optionally) a shared facility.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -41,12 +43,24 @@ constexpr double scope_level(SiteScope scope) noexcept {
   return 0.0;
 }
 
+/// A DNS reply held inline. UDP without EDNS caps a message at 512
+/// octets, so a probe reply never touches the heap; it reads as a byte
+/// span (e.g. `dns::decode(reply.wire)`).
+struct ReplyWire {
+  std::array<std::uint8_t, 512> bytes;  ///< only [0, size) is written
+  std::size_t size = 0;
+
+  operator std::span<const std::uint8_t>() const noexcept {
+    return {bytes.data(), size};
+  }
+};
+
 /// Result of delivering one probe to the site.
 struct ProbeReply {
   bool answered = false;
   int server = 0;               ///< 1-based index of the answering server
   double extra_delay_ms = 0.0;  ///< queueing delay beyond propagation
-  std::vector<std::uint8_t> wire;  ///< encoded DNS response (if answered)
+  ReplyWire wire;               ///< encoded DNS response (if answered)
 };
 
 /// Telemetry wiring for one site: a nullable runtime plus cached
@@ -119,7 +133,10 @@ class AnycastSite {
   /// Loss a query experiences arriving at this step (queue + facility).
   double arrival_loss() const noexcept { return arrival_loss_; }
 
-  /// Delivers one probe query (wire bytes) from `source` at `now`.
+  /// Delivers one probe query (wire bytes) from `source` at `now`. A
+  /// probe is a CHAOS hostname.bind query; the answering server writes
+  /// its reply straight into `ProbeReply::wire`. Any other query goes
+  /// unanswered.
   ProbeReply probe(net::Ipv4Addr source,
                    const std::vector<std::uint8_t>& query_wire,
                    net::SimTime now, util::Rng& rng);

@@ -62,6 +62,17 @@ class RecordSoA {
     rcode_.clear();
   }
 
+  void reserve(std::size_t n) {
+    vp_.reserve(n);
+    t_s_.reserve(n);
+    site_id_.reserve(n);
+    rtt_ms_.reserve(n);
+    letter_index_.reserve(n);
+    outcome_.reserve(n);
+    server_.reserve(n);
+    rcode_.reserve(n);
+  }
+
   void push(const ProbeRecord& rec) {
     vp_.push_back(rec.vp);
     t_s_.push_back(rec.t_s);

@@ -86,8 +86,9 @@ bool valid_site(std::string_view site) {
 
 }  // namespace
 
-Name hostname_bind() {
-  return *Name::parse("hostname.bind");
+const Name& hostname_bind() {
+  static const Name name = *Name::parse("hostname.bind");
+  return name;
 }
 
 std::string server_identity(char letter, std::string_view site, int server) {

@@ -17,8 +17,8 @@
 
 namespace rootstress::dns {
 
-/// The well-known CHAOS diagnostic qname.
-Name hostname_bind();
+/// The well-known CHAOS diagnostic qname, built once.
+const Name& hostname_bind();
 
 /// Parsed identity of a responding server.
 struct ChaosIdentity {

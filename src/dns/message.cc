@@ -76,11 +76,19 @@ ResourceRecord ResourceRecord::ns(Name name, std::uint32_t ttl,
   return rr;
 }
 
-std::optional<std::string> ResourceRecord::txt_value() const {
-  if (type != RrType::kTxt || rdata.empty()) return std::nullopt;
+std::optional<std::string_view> first_character_string(
+    std::span<const std::uint8_t> rdata) {
+  if (rdata.empty()) return std::nullopt;
   const std::size_t n = rdata[0];
   if (rdata.size() < 1 + n) return std::nullopt;
-  return std::string(rdata.begin() + 1, rdata.begin() + 1 + static_cast<long>(n));
+  return std::string_view(reinterpret_cast<const char*>(rdata.data() + 1), n);
+}
+
+std::optional<std::string> ResourceRecord::txt_value() const {
+  if (type != RrType::kTxt) return std::nullopt;
+  const auto text = first_character_string(rdata);
+  if (!text) return std::nullopt;
+  return std::string(*text);
 }
 
 Message Message::query(std::uint16_t id, Name qname, RrType qtype,

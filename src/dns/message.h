@@ -4,7 +4,9 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dns/name.h"
@@ -62,6 +64,11 @@ struct Question {
 
   bool operator==(const Question&) const = default;
 };
+
+/// The first character-string of TXT rdata; nullopt when `rdata` is
+/// empty or the string overruns it. The returned view aliases `rdata`.
+std::optional<std::string_view> first_character_string(
+    std::span<const std::uint8_t> rdata);
 
 /// One resource record. `rdata` is raw wire bytes; TXT convenience
 /// accessors handle the character-string framing.

@@ -1,5 +1,7 @@
 #include "dns/server.h"
 
+#include <algorithm>
+
 #include "dns/chaos.h"
 #include "dns/edns.h"
 #include "dns/wire.h"
@@ -61,6 +63,53 @@ Message RootServer::answer_chaos(const Message& query) const {
   m.answers.push_back(
       ResourceRecord::txt(hostname_bind(), RrClass::kCh, 0, identity_));
   return m;
+}
+
+std::size_t RootServer::write_chaos_reply(const Message& query,
+                                          std::span<std::uint8_t> out) {
+  if (!is_chaos_query(query)) return 0;
+  const Question& q = query.questions.front();
+  const std::size_t text = std::min<std::size_t>(identity_.size(), 255);
+  // Header, question, then the answer: pointer, type, class, TTL, rdlength
+  // and the one character-string.
+  const std::size_t size = 12 + q.qname.wire_length() + 4 + 12 + 1 + text;
+  if (size > out.size()) return 0;
+  ++stats_.queries;
+  ++stats_.chaos_queries;
+  ++stats_.responses;
+
+  std::uint8_t* p = out.data();
+  auto put16 = [&p](unsigned v) {
+    *p++ = static_cast<std::uint8_t>(v >> 8);
+    *p++ = static_cast<std::uint8_t>(v);
+  };
+  put16(query.header.id);
+  // QR and AA set, opcode and RD echoed, TC/RA clear, NOERROR: the flags
+  // answer_chaos() gives the response.
+  put16(0x8000u | ((query.header.opcode & 0xfu) << 11) | 0x0400u |
+        (query.header.rd ? 0x0100u : 0u));
+  put16(1);  // QDCOUNT
+  put16(1);  // ANCOUNT
+  put16(0);  // NSCOUNT
+  put16(0);  // ARCOUNT
+  for (const std::string& label : q.qname.labels()) {
+    *p++ = static_cast<std::uint8_t>(label.size());
+    p = std::copy(label.begin(), label.end(), p);
+  }
+  *p++ = 0;
+  put16(static_cast<unsigned>(q.qtype));
+  put16(static_cast<unsigned>(q.qclass));
+  // The owner name equals the question's (is_chaos_query), which encode()
+  // compresses to a pointer at the question's offset 12.
+  put16(0xc00c);
+  put16(static_cast<unsigned>(RrType::kTxt));
+  put16(static_cast<unsigned>(RrClass::kCh));
+  put16(0);  // TTL 0, high and low halves
+  put16(0);
+  put16(static_cast<unsigned>(1 + text));
+  *p++ = static_cast<std::uint8_t>(text);
+  std::copy_n(identity_.begin(), text, p);
+  return size;
 }
 
 Message RootServer::answer_root_referral(const Message& query) const {

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "dns/message.h"
@@ -62,6 +63,16 @@ class RootServer {
   /// drops it (slipped responses come back truncated with no answers).
   std::optional<Message> answer(const Message& query, net::Ipv4Addr source,
                                 net::SimTime now);
+
+  /// Answers a CHAOS hostname.bind query straight to wire: writes into
+  /// `out` exactly the bytes encode(*answer(query, ...)) produces (id,
+  /// opcode, RD and question echoed as received, answer owner compressed
+  /// to the question) and bumps the same counters, without building a
+  /// response Message. Returns the reply length, or 0 with no counter
+  /// touched when `query` is not a CHAOS query or the reply does not fit
+  /// in `out` (a 512-octet UDP buffer always holds one).
+  std::size_t write_chaos_reply(const Message& query,
+                                std::span<std::uint8_t> out);
 
   /// Builds the root-referral response for an IN query without touching
   /// RRL or the stats counters. The wire-I/O server (netio/) uses this to

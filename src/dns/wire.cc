@@ -1,5 +1,6 @@
 #include "dns/wire.h"
 
+#include <array>
 #include <cctype>
 #include <map>
 
@@ -121,18 +122,22 @@ class Reader {
     v = (static_cast<std::uint32_t>(a) << 16) | b;
     return true;
   }
-  bool bytes(std::size_t n, std::vector<std::uint8_t>& out) {
+  bool bytes(std::size_t n, std::span<const std::uint8_t>& out) {
     if (pos_ + n > wire_.size()) return false;
-    out.assign(wire_.begin() + static_cast<long>(pos_),
-               wire_.begin() + static_cast<long>(pos_ + n));
+    out = wire_.subspan(pos_, n);
     pos_ += n;
     return true;
   }
 
-  // Decodes a possibly compressed name starting at the cursor.
-  bool name(Name& out) {
-    std::vector<std::string> labels;
+  // Walks a possibly compressed name starting at the cursor and hands
+  // each label to `on_label(std::span<const std::uint8_t>)`. This one
+  // walk holds every name rule both decoders enforce: pointer bounds,
+  // the 64-jump loop guard, reserved label bits (which also cap a label
+  // at 63 octets) and the 255-octet name limit.
+  template <typename OnLabel>
+  bool walk_name(OnLabel&& on_label) {
     std::size_t pos = pos_;
+    std::size_t name_length = 1;  // the root label
     bool jumped = false;
     std::size_t jumps = 0;
     while (true) {
@@ -151,13 +156,26 @@ class Reader {
       if ((len & 0xc0) != 0) return false;  // reserved label types
       if (len == 0) {
         if (!jumped) pos_ = pos + 1;
-        break;
+        return true;
       }
       if (pos + 1 + len > wire_.size()) return false;
-      labels.emplace_back(wire_.begin() + static_cast<long>(pos + 1),
-                          wire_.begin() + static_cast<long>(pos + 1 + len));
+      name_length += 1 + len;
+      if (name_length > kMaxNameWire) return false;
+      on_label(wire_.subspan(pos + 1, len));
       pos += 1 + len;
     }
+  }
+
+  bool skip_name() {
+    return walk_name([](std::span<const std::uint8_t>) {});
+  }
+
+  bool name(Name& out) {
+    std::vector<std::string> labels;
+    const bool ok = walk_name([&labels](std::span<const std::uint8_t> label) {
+      labels.emplace_back(label.begin(), label.end());
+    });
+    if (!ok) return false;
     auto built = Name::from_labels(std::move(labels));
     if (!built) return false;
     out = std::move(*built);
@@ -165,22 +183,50 @@ class Reader {
   }
 
  private:
+  static constexpr std::size_t kMaxNameWire = 255;
+
   std::span<const std::uint8_t> wire_;
   std::size_t pos_ = 0;
 };
 
-bool decode_record(Reader& reader, ResourceRecord& rr) {
-  if (!reader.name(rr.name)) return false;
+// Header fields and the four section counts (QD, AN, NS, AR).
+bool read_header(Reader& reader, Header& h,
+                 std::array<std::uint16_t, 4>& counts) {
+  std::uint16_t flags = 0;
+  if (!reader.u16(h.id) || !reader.u16(flags)) return false;
+  for (auto& count : counts) {
+    if (!reader.u16(count)) return false;
+  }
+  h.qr = (flags & 0x8000) != 0;
+  h.opcode = static_cast<std::uint8_t>((flags >> 11) & 0xf);
+  h.aa = (flags & 0x0400) != 0;
+  h.tc = (flags & 0x0200) != 0;
+  h.rd = (flags & 0x0100) != 0;
+  h.ra = (flags & 0x0080) != 0;
+  h.rcode = static_cast<Rcode>(flags & 0xf);
+  return true;
+}
+
+// Everything of a record after its owner name.
+bool read_record_body(Reader& reader, RecordView& rr) {
   std::uint16_t type = 0, klass = 0, rdlen = 0;
-  std::uint32_t ttl = 0;
-  if (!reader.u16(type) || !reader.u16(klass) || !reader.u32(ttl) ||
+  if (!reader.u16(type) || !reader.u16(klass) || !reader.u32(rr.ttl) ||
       !reader.u16(rdlen)) {
     return false;
   }
   rr.type = static_cast<RrType>(type);
   rr.klass = static_cast<RrClass>(klass);
-  rr.ttl = ttl;
   return reader.bytes(rdlen, rr.rdata);
+}
+
+bool decode_record(Reader& reader, ResourceRecord& rr) {
+  RecordView body;
+  if (!reader.name(rr.name) || !read_record_body(reader, body)) return false;
+  rr.type = body.type;
+  rr.klass = body.klass;
+  rr.ttl = body.ttl;
+  rr.rdata.assign(body.rdata.begin(), body.rdata.end());
+  return true;
 }
 
 }  // namespace
@@ -220,20 +266,9 @@ std::optional<Message> decode(std::span<const std::uint8_t> wire,
   if (wire.size() < 12) return fail("short header");
   Reader reader(wire);
   Message m;
-  std::uint16_t flags = 0;
-  std::uint16_t qd = 0, an = 0, ns = 0, ar = 0;
-  if (!reader.u16(m.header.id) || !reader.u16(flags) || !reader.u16(qd) ||
-      !reader.u16(an) || !reader.u16(ns) || !reader.u16(ar)) {
-    return fail("short header");
-  }
-  m.header.qr = (flags & 0x8000) != 0;
-  m.header.opcode = static_cast<std::uint8_t>((flags >> 11) & 0xf);
-  m.header.aa = (flags & 0x0400) != 0;
-  m.header.tc = (flags & 0x0200) != 0;
-  m.header.rd = (flags & 0x0100) != 0;
-  m.header.ra = (flags & 0x0080) != 0;
-  m.header.rcode = static_cast<Rcode>(flags & 0xf);
-  for (std::uint16_t i = 0; i < qd; ++i) {
+  std::array<std::uint16_t, 4> counts{};
+  if (!read_header(reader, m.header, counts)) return fail("short header");
+  for (std::uint16_t i = 0; i < counts[0]; ++i) {
     Question q;
     std::uint16_t type = 0, klass = 0;
     if (!reader.name(q.qname) || !reader.u16(type) || !reader.u16(klass)) {
@@ -252,10 +287,40 @@ std::optional<Message> decode(std::span<const std::uint8_t> wire,
     }
     return true;
   };
-  if (!read_section(an, m.answers)) return fail("truncated answer");
-  if (!read_section(ns, m.authority)) return fail("truncated authority");
-  if (!read_section(ar, m.additional)) return fail("truncated additional");
+  if (!read_section(counts[1], m.answers)) return fail("truncated answer");
+  if (!read_section(counts[2], m.authority)) return fail("truncated authority");
+  if (!read_section(counts[3], m.additional)) {
+    return fail("truncated additional");
+  }
   return m;
+}
+
+std::optional<MessageView> decode_view(std::span<const std::uint8_t> wire) {
+  Reader reader(wire);
+  MessageView view;
+  std::array<std::uint16_t, 4> counts{};
+  if (!read_header(reader, view.header, counts)) return std::nullopt;
+  view.question_count = counts[0];
+  view.answer_count = counts[1];
+  view.authority_count = counts[2];
+  view.additional_count = counts[3];
+  for (std::uint16_t i = 0; i < counts[0]; ++i) {
+    std::uint16_t type = 0, klass = 0;
+    if (!reader.skip_name() || !reader.u16(type) || !reader.u16(klass)) {
+      return std::nullopt;
+    }
+  }
+  // Every record of every section is walked, so a truncated or malformed
+  // tail is rejected exactly as decode() rejects it.
+  const int records = counts[1] + counts[2] + counts[3];
+  for (int i = 0; i < records; ++i) {
+    RecordView rr;
+    if (!reader.skip_name() || !read_record_body(reader, rr)) {
+      return std::nullopt;
+    }
+    if (i == 0 && counts[1] > 0) view.first_answer = rr;
+  }
+  return view;
 }
 
 }  // namespace rootstress::dns

@@ -272,12 +272,18 @@ SimulationResult SimulationEngine::run() {
         vps_.size(),
         threads_ > 1 ? static_cast<std::size_t>(threads_) * 4 : std::size_t{1});
     for (const int s : probed_services_) {
+      // A VP probes a service at most this many times per step; staging
+      // lanes sized for it never grow while probing.
+      const auto interval = probe_interval_ms_[static_cast<std::size_t>(s)];
+      const auto per_vp_step = static_cast<std::size_t>(
+          (config_.step.ms + interval - 1) / interval);
       for (std::size_t shard = 0; shard < shard_count; ++shard) {
         ProbeShard task;
         task.service = s;
         task.vp_begin = vps_.size() * shard / shard_count;
         task.vp_end = vps_.size() * (shard + 1) / shard_count;
         if (task.vp_begin == task.vp_end) continue;
+        task.records.reserve((task.vp_end - task.vp_begin) * per_vp_step);
         probe_shards_.push_back(std::move(task));
       }
     }
@@ -943,8 +949,10 @@ void SimulationEngine::record_rssac(net::SimTime now,
 
 void SimulationEngine::run_probes(net::SimTime step_begin,
                                   atlas::RecordSet& raw) {
-  const net::SimTime step_end = step_begin + config_.step;
-  pool_->parallel_for(probe_shards_.size(), [&](std::size_t i) {
+  // The closure captures exactly 16 bytes, so std::function keeps it
+  // inline: dispatching the step allocates nothing.
+  pool_->parallel_for(probe_shards_.size(), [this, step_begin](std::size_t i) {
+    const net::SimTime step_end = step_begin + config_.step;
     ProbeShard& shard = probe_shards_[i];
     shard.records.clear();
     const int s = shard.service;
@@ -1032,21 +1040,22 @@ void SimulationEngine::probe_once(const atlas::VantagePoint& vp,
   rec.rtt_ms = static_cast<std::uint16_t>(
       std::min(rtt, 65535.0));
 
-  const auto response = dns::decode(reply.wire);
-  if (!response || response->answers.empty()) {
+  // The reply is validated as a whole message on the wire, but nothing
+  // is copied out of it: the TXT identity is a view into reply.wire.
+  const auto response = dns::decode_view(reply.wire);
+  if (!response || !response->first_answer) {
     rec.outcome = atlas::ProbeOutcome::kError;
     out.push(rec);
     return;
   }
   rec.rcode = static_cast<std::uint8_t>(response->header.rcode);
-  const auto txt = response->answers.front().txt_value();
+  const auto txt = response->first_answer->txt_value();
   // The interned table maps the full CHAOS identity text straight to its
   // (site, server): one hash lookup, no key string, no format re-parse.
   // Unknown text (an identity no deployed server owns) stays an error,
   // exactly as the old parse-then-lookup chain classified it.
   const auto it =
-      txt ? site_by_identity_.find(std::string_view(*txt))
-          : site_by_identity_.end();
+      txt ? site_by_identity_.find(*txt) : site_by_identity_.end();
   if (it == site_by_identity_.end()) {
     rec.outcome = atlas::ProbeOutcome::kError;
     out.push(rec);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "dns/chaos.h"
 #include "dns/wire.h"
 
@@ -120,6 +123,64 @@ TEST(RootServer, StatsAccumulate) {
   server.answer(make_chaos_query(2), net::Ipv4Addr(1), net::SimTime(0));
   EXPECT_EQ(server.stats().queries, 2u);
   EXPECT_EQ(server.stats().responses, 2u);
+}
+
+// The probe path's direct CHAOS writer must put on the wire exactly what
+// the message model encodes, and count exactly what answer() counts.
+TEST(RootServer, ChaosWireWriterMatchesEncodedAnswer) {
+  std::vector<Message> queries;
+  for (std::uint16_t id : {0x0000, 0x0001, 0x5250, 0xbeef, 0xffff}) {
+    queries.push_back(make_chaos_query(id));
+  }
+  Message rd = make_chaos_query(0x1111);
+  rd.header.rd = true;
+  queries.push_back(rd);
+  queries.push_back(Message::query(0x2222, *Name::parse("HOSTNAME.BIND"),
+                                   RrType::kTxt, RrClass::kCh));
+  queries.push_back(Message::query(0x3333, *Name::parse("HostName.Bind."),
+                                   RrType::kTxt, RrClass::kCh, true));
+  Message opcode = make_chaos_query(0x4444);
+  opcode.header.opcode = 2;
+  queries.push_back(opcode);
+
+  for (char letter = 'A'; letter <= 'M'; ++letter) {
+    for (int index = 1; index <= 3; ++index) {
+      RootServer direct(letter, "nrt", index);
+      RootServer model(letter, "nrt", index);
+      for (const Message& q : queries) {
+        std::array<std::uint8_t, 512> buffer{};
+        const std::size_t n = direct.write_chaos_reply(q, buffer);
+        const auto expected =
+            encode(*model.answer(q, net::Ipv4Addr(1), net::SimTime(0)));
+        ASSERT_EQ(std::vector<std::uint8_t>(buffer.begin(),
+                                            buffer.begin() + n),
+                  expected)
+            << letter << index << " id " << q.header.id;
+      }
+      EXPECT_EQ(direct.stats().queries, model.stats().queries);
+      EXPECT_EQ(direct.stats().chaos_queries, model.stats().chaos_queries);
+      EXPECT_EQ(direct.stats().responses, model.stats().responses);
+      EXPECT_EQ(direct.stats().queries, queries.size());
+    }
+  }
+}
+
+TEST(RootServer, ChaosWireWriterDeclinesOtherQueries) {
+  RootServer server('K', "AMS", 1);
+  std::array<std::uint8_t, 512> buffer{};
+  const Message in_query = Message::query(1, *Name::parse("hostname.bind"),
+                                          RrType::kTxt, RrClass::kIn);
+  EXPECT_EQ(server.write_chaos_reply(in_query, buffer), 0u);
+  Message response = make_chaos_query(1);
+  response.header.qr = true;
+  EXPECT_EQ(server.write_chaos_reply(response, buffer), 0u);
+  // A buffer too small for the reply is declined, not overrun.
+  std::array<std::uint8_t, 40> small{};
+  EXPECT_EQ(server.write_chaos_reply(make_chaos_query(1), small), 0u);
+  EXPECT_EQ(server.stats().queries, 0u);
+  EXPECT_EQ(server.stats().responses, 0u);
+  EXPECT_GT(server.write_chaos_reply(make_chaos_query(1), buffer), 40u);
+  EXPECT_EQ(server.stats().chaos_queries, 1u);
 }
 
 }  // namespace

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "dns/chaos.h"
 #include "dns/edns.h"
+#include "dns/server.h"
 #include "util/rng.h"
 
 namespace rootstress::dns {
@@ -274,6 +276,173 @@ TEST(Wire, ChaosQueryRoundTrip) {
   const auto m = decode(wire);
   ASSERT_TRUE(m.has_value());
   EXPECT_TRUE(is_chaos_query(*m));
+}
+
+// decode_view() must accept exactly the inputs decode() accepts and, on
+// each of them, read the same header, section counts and first answer.
+::testing::AssertionResult decoders_agree(std::span<const std::uint8_t> wire,
+                                          bool* accepted) {
+  const auto full = decode(wire);
+  const auto view = decode_view(wire);
+  *accepted = full.has_value();
+  if (full.has_value() != view.has_value()) {
+    return ::testing::AssertionFailure()
+           << "decode " << (full ? "accepts" : "rejects") << ", decode_view "
+           << (view ? "accepts" : "rejects") << " a " << wire.size()
+           << "-byte message";
+  }
+  if (!full) return ::testing::AssertionSuccess();
+  const Header& a = full->header;
+  const Header& b = view->header;
+  if (a.id != b.id || a.qr != b.qr || a.opcode != b.opcode || a.aa != b.aa ||
+      a.tc != b.tc || a.rd != b.rd || a.ra != b.ra || a.rcode != b.rcode) {
+    return ::testing::AssertionFailure() << "headers differ";
+  }
+  if (full->questions.size() != view->question_count ||
+      full->answers.size() != view->answer_count ||
+      full->authority.size() != view->authority_count ||
+      full->additional.size() != view->additional_count) {
+    return ::testing::AssertionFailure() << "section counts differ";
+  }
+  if (full->answers.empty() != !view->first_answer.has_value()) {
+    return ::testing::AssertionFailure() << "first answer presence differs";
+  }
+  if (full->answers.empty()) return ::testing::AssertionSuccess();
+  const ResourceRecord& rr = full->answers.front();
+  const RecordView& rv = *view->first_answer;
+  if (rr.type != rv.type || rr.klass != rv.klass || rr.ttl != rv.ttl ||
+      !std::equal(rr.rdata.begin(), rr.rdata.end(), rv.rdata.begin(),
+                  rv.rdata.end())) {
+    return ::testing::AssertionFailure() << "first answers differ";
+  }
+  if (rr.txt_value() != rv.txt_value()) {
+    return ::testing::AssertionFailure() << "TXT values differ";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+using Bytes = std::vector<std::uint8_t>;
+
+// Header + one IN A question whose qname is `qname_wire` (raw octets).
+Bytes query_with_raw_qname(const Bytes& qname_wire) {
+  Bytes wire(12 + qname_wire.size() + 4, 0);
+  wire[0] = 0x12;  // id
+  wire[1] = 0x34;
+  wire[5] = 1;  // QDCOUNT
+  std::copy(qname_wire.begin(), qname_wire.end(), wire.begin() + 12);
+  wire[wire.size() - 3] = 1;  // QTYPE A
+  wire[wire.size() - 1] = 1;  // QCLASS IN
+  return wire;
+}
+
+Bytes label_run(std::initializer_list<std::size_t> lengths) {
+  Bytes out;
+  for (std::size_t len : lengths) {
+    out.push_back(static_cast<std::uint8_t>(len));
+    out.insert(out.end(), len, 'x');
+  }
+  out.push_back(0);
+  return out;
+}
+
+// Differential fuzz loop: the CHAOS replies of all 13 letters and a root
+// referral, cut at every length, with bytes flipped and compression
+// pointers forged (self-loops, forward and past-the-end targets), plus
+// hand-built names at and past the label and name limits. Seeded, so a
+// failure reproduces.
+TEST(Wire, DecodeViewAgreesWithDecodeOnMutants) {
+  std::vector<Bytes> corpus;
+  for (char letter = 'A'; letter <= 'M'; ++letter) {
+    RootServer server(letter, "AMS", 2);
+    corpus.push_back(encode(*server.answer(
+        make_chaos_query(static_cast<std::uint16_t>(letter)),
+        net::Ipv4Addr(1), net::SimTime(0))));
+  }
+  RootServer root('A', "IAD", 1);
+  corpus.push_back(encode(*root.answer(
+      Message::query(7, *Name::parse("www.336901.com"), RrType::kA,
+                     RrClass::kIn),
+      net::Ipv4Addr(1), net::SimTime(0))));
+
+  // Names at and past the limits: a 63-octet label is fine, length bytes
+  // 64 and up carry reserved bits; 255 octets is the longest name.
+  corpus.push_back(query_with_raw_qname(label_run({63})));
+  corpus.push_back(query_with_raw_qname(label_run({63, 63, 63, 61})));
+  corpus.push_back(query_with_raw_qname(label_run({63, 63, 63, 62})));
+  corpus.push_back(query_with_raw_qname(label_run({63, 63, 63, 63})));
+  for (std::uint8_t len : {64, 65, 127, 128, 191}) {
+    Bytes qname{len};
+    qname.insert(qname.end(), len, 'x');
+    qname.push_back(0);
+    corpus.push_back(query_with_raw_qname(qname));
+  }
+  {
+    // An answer name that only passes 255 octets through a pointer back
+    // into the 253-octet question name.
+    Bytes wire = query_with_raw_qname(label_run({63, 63, 63, 60}));
+    wire[7] = 1;  // ANCOUNT
+    wire.insert(wire.end(), {0x01, 'y', 0xc0, 0x0c, 0x00, 0x01, 0x00, 0x01,
+                             0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 1, 2, 3, 4});
+    corpus.push_back(wire);
+  }
+
+  util::Rng rng(0x5eed);
+  std::size_t accepted_count = 0, rejected_count = 0;
+  auto check = [&](const Bytes& wire) {
+    bool accepted = false;
+    const auto agree = decoders_agree(wire, &accepted);
+    (accepted ? accepted_count : rejected_count) += 1;
+    return agree;
+  };
+  for (const Bytes& base : corpus) {
+    ASSERT_TRUE(check(base));
+    for (std::size_t len = 0; len < base.size(); ++len) {
+      ASSERT_TRUE(check(Bytes(base.begin(), base.begin() + len)))
+          << "truncated to " << len;
+    }
+    for (std::size_t pos = 0; pos < base.size(); ++pos) {
+      for (int flip = 0; flip < 4; ++flip) {
+        Bytes mutant = base;
+        mutant[pos] ^= static_cast<std::uint8_t>(1 + rng.below(255));
+        ASSERT_TRUE(check(mutant)) << "byte " << pos << " flipped";
+      }
+    }
+    for (std::size_t pos = 12; pos + 1 < base.size(); ++pos) {
+      const std::size_t targets[] = {pos,  // self-loop
+                                     pos + 2, base.size() - 1,  // forward
+                                     base.size(), 0x3fff,  // past the end
+                                     12, rng.below(base.size())};
+      for (std::size_t target : targets) {
+        Bytes mutant = base;
+        mutant[pos] = static_cast<std::uint8_t>(0xc0 | (target >> 8));
+        mutant[pos + 1] = static_cast<std::uint8_t>(target);
+        ASSERT_TRUE(check(mutant))
+            << "pointer at " << pos << " to " << target;
+      }
+    }
+  }
+  // The loop must exercise both outcomes.
+  EXPECT_GT(accepted_count, 1000u);
+  EXPECT_GT(rejected_count, 1000u);
+}
+
+TEST(Wire, DecodeViewReadsChaosReply) {
+  RootServer server('K', "AMS", 2);
+  const auto wire = encode(*server.answer(make_chaos_query(0x77),
+                                          net::Ipv4Addr(1), net::SimTime(0)));
+  const auto view = decode_view(wire);
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(view->header.id, 0x77);
+  EXPECT_TRUE(view->header.aa);
+  EXPECT_EQ(view->question_count, 1);
+  EXPECT_EQ(view->answer_count, 1);
+  ASSERT_TRUE(view->first_answer.has_value());
+  EXPECT_EQ(view->first_answer->txt_value(), server.identity());
+  // The identity is a view into the wire bytes, not a copy.
+  const auto txt = *view->first_answer->txt_value();
+  EXPECT_GE(reinterpret_cast<const std::uint8_t*>(txt.data()), wire.data());
+  EXPECT_LE(reinterpret_cast<const std::uint8_t*>(txt.data() + txt.size()),
+            wire.data() + wire.size());
 }
 
 }  // namespace
