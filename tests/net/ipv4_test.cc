@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace rootstress::net {
 namespace {
 
@@ -10,8 +12,11 @@ TEST(Ipv4, ConstructionAndValue) {
   EXPECT_EQ(Ipv4Addr().value(), 0u);
 }
 
+// Address text is held as std::string, not const char*: gtest prints a
+// pointer parameter as its address, which would put a run-dependent value
+// into the test name.
 class Ipv4ParseValid
-    : public ::testing::TestWithParam<std::pair<const char*, std::uint32_t>> {
+    : public ::testing::TestWithParam<std::pair<std::string, std::uint32_t>> {
 };
 
 TEST_P(Ipv4ParseValid, Parses) {
@@ -98,7 +103,7 @@ TEST(Prefix, ParseAndFormat) {
 
 class EndpointParseValid
     : public ::testing::TestWithParam<
-          std::tuple<const char*, std::uint32_t, std::uint16_t>> {};
+          std::tuple<std::string, std::uint32_t, std::uint16_t>> {};
 
 TEST_P(EndpointParseValid, Parses) {
   const auto [text, addr, port] = GetParam();
