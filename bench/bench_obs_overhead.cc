@@ -1,9 +1,10 @@
 // Telemetry overhead guard: the obs/ subsystem must stay effectively
 // free. Runs the June 2016 event scenario (same shape as
-// bench_event_2016) with telemetry off and on, compares best-of-N wall
-// times, and fails (exit 1) if the instrumented run is more than 5%
-// slower. Writes the measurement to BENCH_obs.json (path overridable as
-// argv[1]); threshold overridable with ROOTSTRESS_OBS_OVERHEAD_MAX.
+// `paper_report event_2016`) with telemetry off and on, compares
+// best-of-N wall times, and fails (exit 1) if the instrumented run is
+// more than 5% slower. Writes the measurement to BENCH_obs.json (path
+// overridable as argv[1]); threshold overridable with
+// ROOTSTRESS_OBS_OVERHEAD_MAX.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>

@@ -89,7 +89,8 @@ int main(int argc, char** argv) {
       std::printf("wrote telemetry JSON to %s\n", argv[4]);
     }
   }
-  std::puts("\nCompare against the paper via the bench binaries "
-            "(build/bench/bench_fig3 ... bench_table3).");
+  std::puts("\nCompare against the paper via build/bench/paper_report "
+            "(e.g. `paper_report fig3`; no names runs every table and "
+            "figure).");
   return 0;
 }

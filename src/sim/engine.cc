@@ -1222,29 +1222,7 @@ void SimulationEngine::apply_policy_step(net::SimTime now,
       case anycast::PolicyAction::kNone:
         break;
       case anycast::PolicyAction::kWithdraw: {
-        // A letter's last globally announced site never withdraws: the
-        // operator keeps it up as a degraded absorber (case 5 of §2.2)
-        // rather than blackhole the whole service. Primary/backup letters
-        // are exempt: their fallback is administratively down by design.
-        const auto& svc_of_site = deployment_->service(site.letter());
-        const bool has_backup =
-            svc_of_site.letter_index >= 0 &&
-            deployment_->letters()[static_cast<std::size_t>(
-                svc_of_site.letter_index)].primary_backup;
-        if (site.scope() == anycast::SiteScope::kGlobal && !has_backup) {
-          int global_sites = 0;
-          for (int other : deployment_->service(site.letter()).site_ids) {
-            if (deployment_->site(other).scope() ==
-                anycast::SiteScope::kGlobal) {
-              ++global_sites;
-            }
-          }
-          if (global_sites <= 1) {
-            site.policy_state().veto_withdrawal();
-            note_withdraw_veto(site, now);
-            break;
-          }
-        }
+        if (veto_last_global_withdrawal(site, now)) break;
         const bool partial =
             site.policy_state().policy().partial_withdraw && site.spec().global;
         deployment_->apply_scope(id,
@@ -1298,27 +1276,8 @@ playbook::ActuationOutcome SimulationEngine::actuate(
   switch (action.kind) {
     case ActionKind::kWithdrawSite:
     case ActionKind::kPartialWithdraw: {
-      // Same guard as the static policy path: a letter's last globally
-      // announced site never withdraws — it stays up as a degraded
-      // absorber (§2.2, case 5). Primary/backup letters are exempt.
-      const auto& svc_of_site = deployment_->service(site.letter());
-      const bool has_backup =
-          svc_of_site.letter_index >= 0 &&
-          deployment_->letters()[static_cast<std::size_t>(
-              svc_of_site.letter_index)].primary_backup;
-      if (site.scope() == anycast::SiteScope::kGlobal && !has_backup) {
-        int global_sites = 0;
-        for (int other : svc_of_site.site_ids) {
-          if (deployment_->site(other).scope() ==
-              anycast::SiteScope::kGlobal) {
-            ++global_sites;
-          }
-        }
-        if (global_sites <= 1) {
-          site.policy_state().veto_withdrawal();
-          note_withdraw_veto(site, now);
-          return ActuationOutcome::kVetoed;
-        }
+      if (veto_last_global_withdrawal(site, now)) {
+        return ActuationOutcome::kVetoed;
       }
       anycast::SiteScope target;
       if (action.kind == ActionKind::kWithdrawSite) {
@@ -1390,16 +1349,38 @@ playbook::ActuationOutcome SimulationEngine::actuate(
   return ActuationOutcome::kNoop;
 }
 
-void SimulationEngine::note_withdraw_veto(const anycast::AnycastSite& site,
-                                          net::SimTime now) {
-  if (!obs_) return;
-  obs_->metrics()
-      .counter("policy.withdraw_veto",
-               {{"letter", std::string(1, site.letter())}})
-      .add();
-  obs_->event(obs::TraceEventType::kWithdrawVeto, now, site.letter(),
-              site.label(), "last global site kept as degraded absorber",
-              static_cast<double>(site.site_id()));
+bool SimulationEngine::veto_last_global_withdrawal(anycast::AnycastSite& site,
+                                                   net::SimTime now) {
+  // A letter's last globally announced site never withdraws: the operator
+  // keeps it up as a degraded absorber (case 5 of §2.2) rather than
+  // blackhole the whole service. Primary/backup letters are exempt: their
+  // fallback is administratively down by design.
+  if (site.scope() != anycast::SiteScope::kGlobal) return false;
+  const auto& svc_of_site = deployment_->service(site.letter());
+  if (svc_of_site.letter_index >= 0 &&
+      deployment_->letters()[static_cast<std::size_t>(
+          svc_of_site.letter_index)].primary_backup) {
+    return false;
+  }
+  int global_sites = 0;
+  for (int other : svc_of_site.site_ids) {
+    if (deployment_->site(other).scope() == anycast::SiteScope::kGlobal) {
+      ++global_sites;
+    }
+  }
+  if (global_sites > 1) return false;
+
+  site.policy_state().veto_withdrawal();
+  if (obs_) {
+    obs_->metrics()
+        .counter("policy.withdraw_veto",
+                 {{"letter", std::string(1, site.letter())}})
+        .add();
+    obs_->event(obs::TraceEventType::kWithdrawVeto, now, site.letter(),
+                site.label(), "last global site kept as degraded absorber",
+                static_cast<double>(site.site_id()));
+  }
+  return true;
 }
 
 void SimulationEngine::update_h_root_backup(net::SimTime now) {

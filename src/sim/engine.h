@@ -200,9 +200,12 @@ class SimulationEngine : private playbook::ActuationBackend {
   playbook::ActuationOutcome actuate(int site_id,
                                      const playbook::Action& action,
                                      net::SimTime now) override;
-  /// Counter + trace event for a refused withdrawal (policy veto and
-  /// playbook veto share this).
-  void note_withdraw_veto(const anycast::AnycastSite& site, net::SimTime now);
+  /// The last-global-site guard shared by the static policy and the
+  /// playbook: refuses to withdraw a letter's last globally announced
+  /// site (primary/backup letters exempt). On a veto, tells the site's
+  /// policy state, counts it and traces it, and returns true.
+  bool veto_last_global_withdrawal(anycast::AnycastSite& site,
+                                   net::SimTime now);
   void update_h_root_backup(net::SimTime now);
   void run_fluid_step(net::SimTime t, SimulationResult& result,
                       const std::vector<obs::Gauge*>& g_offered,
