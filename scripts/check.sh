@@ -4,49 +4,52 @@
 #   1. Release build + the whole test suite, serial (ROOTSTRESS_THREADS=1)
 #      and parallel (ROOTSTRESS_THREADS=4) — the auto thread knob reads
 #      that variable, so this runs every engine test on both paths.
-#   2. Paper gate: paper_report at its defaults — every table and figure
+#   2. Debug build with AddressSanitizer + UndefinedBehaviorSanitizer
+#      (-O1, -fno-sanitize-recover=undefined, so any UB report fails its
+#      test) under build/check-asan, running the WHOLE test suite.
+#   3. Paper gate: paper_report at its defaults — every table and figure
 #      of the paper, each distinct replay run once, written to
 #      build/check-release/paper_report.txt with the Table 1 checklist
 #      echoed. It exits non-zero if any Table 1 row (the paper's key
 #      observations) FAILs, which fails the script.
-#   3. Smoke campaign: a 2x2 sweep grid against a fresh cache, run cold
+#   4. Smoke campaign: a 2x2 sweep grid against a fresh cache, run cold
 #      then warm, asserting the warm pass executes ZERO engine runs (the
 #      content-addressed cache contract).
-#   4. Playbook gate: the reactive-controller integration tests on both
+#   5. Playbook gate: the reactive-controller integration tests on both
 #      engine paths (ROOTSTRESS_THREADS=1 and 4), then the playbook_duel
 #      example, which exits non-zero unless the withdraw plan changes the
 #      answered fraction, threads 1 and 4 agree bit-for-bit, and the
 #      playbook campaign axis caches three distinct digests.
-#   5. Fault gate: the fault-layer integration tests on both engine
+#   6. Fault gate: the fault-layer integration tests on both engine
 #      paths, then the pulse_duel example at ROOTSTRESS_THREADS=1 and 4
 #      — it exits non-zero unless the pulse wave damages the absorb
 #      baseline, fault-laden runs are thread-count invariant, the patient
 #      plan out-oscillates nothing, and the fault-schedule campaign axis
 #      caches four distinct digests cold then serves them all warm.
-#   6. Observability gate: bench_obs_overhead (full telemetry incl. the
+#   7. Observability gate: bench_obs_overhead (full telemetry incl. the
 #      flight recorder must stay within 5% of a dark run on the June 2016
 #      scenario, writing BENCH_obs.json), and the first pulse_duel pass
 #      re-run with ROOTSTRESS_PERFETTO set — the exported Chrome-trace
 #      document must be valid JSON with a traceEvents array.
-#   7. Scale gate: bench_scale's smoke sizes — the churn-heavy 10^4-AS
+#   8. Scale gate: bench_scale's smoke sizes — the churn-heavy 10^4-AS
 #      cell must show incremental BGP >= 5x faster than full recompute
 #      with bit-identical RouteChange/catchment output, plus records/sec
 #      at three growing populations (ROOTSTRESS_SCALE_FULL=1 runs the
 #      full population ladder instead), writing BENCH_scale.json.
-#   8. Distributed gate: bench_distributed (subprocess fabric digests at
+#   9. Distributed gate: bench_distributed (subprocess fabric digests at
 #      1 and 4 workers must be bit-identical to in-process, a killed
 #      worker's cells must be re-leased to completion, coordination
 #      overhead bounded; writes BENCH_distributed.json), then the smoke
 #      campaign re-run on the fabric — cold on 2 workers must execute
 #      all 4 cells through the subprocess executor and a warm pass must
 #      serve every cell from the cache the workers populated.
-#   9. Netio gate: a wirestress --duel --quick loopback smoke (real UDP
+#  10. Netio gate: a wirestress --duel --quick loopback smoke (real UDP
 #      packets through the generator and server-under-test), then
 #      bench_netio — batched-send throughput must clear the 50k q/s bar
 #      on loopback AND the measured answered fraction under a 2x capacity
 #      overload must agree with the fluid simulator's prediction within
 #      10% (writes BENCH_netio.json).
-#  10. End-user gate: the resolver-population integration tests on both
+#  11. End-user gate: the resolver-population integration tests on both
 #      engine paths, then the enduser_duel example at ROOTSTRESS_THREADS=1
 #      (with ROOTSTRESS_DATASET set — every exported line must be valid
 #      JSON with the attack/legit labels present) and 4 — it exits
@@ -56,7 +59,7 @@
 #      bench_enduser (stepping the population must cost < 5% wall clock
 #      and leave every server-side series bit-identical, writing
 #      BENCH_enduser.json).
-#  11. Debug build with ThreadSanitizer, running the thread-pool unit
+#  12. Debug build with ThreadSanitizer, running the thread-pool unit
 #      tests, the parallel-determinism integration test, the
 #      incremental-vs-full BGP cross-check (debug builds cross-check
 #      every mutation), the resolver-population unit tests (sharded
@@ -64,7 +67,7 @@
 #      (real threads + real sockets) under TSan.
 #
 # Usage: scripts/check.sh  (from the repo root; build trees land in
-# build/check-release and build/check-tsan).
+# build/check-release, build/check-asan and build/check-tsan).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -77,6 +80,17 @@ echo "=== Test suite, serial (ROOTSTRESS_THREADS=1) ==="
 
 echo "=== Test suite, parallel (ROOTSTRESS_THREADS=4) ==="
 (cd build/check-release && ROOTSTRESS_THREADS=4 ctest --output-on-failure -j)
+
+echo "=== Debug + ASan/UBSan build ==="
+cmake -B build/check-asan -S . -DCMAKE_BUILD_TYPE=Debug \
+  -DCMAKE_CXX_FLAGS="-O1 -g -fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer" \
+  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+# One job per core: sanitizer TUs are memory-hungry, and a bare -j lets
+# make start them all at once.
+cmake --build build/check-asan -j "$(nproc)"
+
+echo "=== Test suite under ASan/UBSan ==="
+(cd build/check-asan && ctest --output-on-failure -j)
 
 echo "=== Paper gate: every table and figure; Table 1 must be all PASS ==="
 PAPER_OUT=build/check-release/paper_report.txt

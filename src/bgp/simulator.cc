@@ -174,6 +174,7 @@ void AnycastRouting::set_unrouted_slot(std::int32_t slot) {
     for (int as = 0; as < n; ++as) {
       if (!table.routes[as].reachable()) table.site_of[as] = slot;
     }
+    ++table.catchment_epoch;
   }
   unrouted_slot_ = slot;
 }
@@ -527,6 +528,9 @@ std::vector<RouteChange> AnycastRouting::finish_recompute(
     table.recomputes->add();
     table.changes->add(changes.size());
   }
+  // Both modes rewrite site_of only where a site id moved, and every such
+  // AS is in `changes`, so an empty list leaves the catchment untouched.
+  if (!changes.empty()) ++table.catchment_epoch;
   if (observer_ && !changes.empty()) observer_(prefix, changes);
   return changes;
 }

@@ -91,6 +91,15 @@ class AnycastRouting {
   void set_unrouted_slot(std::int32_t slot);
   std::int32_t unrouted_slot() const noexcept { return unrouted_slot_; }
 
+  /// Per-prefix catchment version: bumped exactly when site_of(prefix)
+  /// may have changed (a recomputation that moved at least one AS, or
+  /// set_unrouted_slot). Contract: equal epochs of one prefix imply an
+  /// identical site_of(prefix), so consumers may cache anything derived
+  /// from it (sim::ServiceLoad does) and recompute only on a new epoch.
+  std::uint64_t catchment_epoch(int prefix) const {
+    return tables_[prefix].catchment_epoch;
+  }
+
   /// The origins of `prefix` (site announce state included).
   const std::vector<AnycastOrigin>& origins(int prefix) const {
     return tables_[prefix].origins;
@@ -176,6 +185,7 @@ class AnycastRouting {
     std::vector<int> up_pos;
     std::vector<int> best_pos;
     std::uint64_t recompute_seq = 0;
+    std::uint64_t catchment_epoch = 0;  ///< see catchment_epoch()
     obs::Counter* recomputes = nullptr;
     obs::Counter* changes = nullptr;
     obs::Counter* reselects = nullptr;

@@ -2,6 +2,8 @@
 
 #include <cctype>
 
+#include "util/hash.h"
+
 namespace rootstress::dns {
 
 namespace {
@@ -74,14 +76,10 @@ bool Name::operator==(const Name& other) const noexcept {
 
 std::uint64_t Name::hash() const noexcept {
   // FNV-1a over lowercased labels with separators.
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](char c) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
-  };
+  std::uint64_t h = util::kFnvOffset;
   for (const auto& label : labels_) {
-    for (char c : label) mix(lower(c));
-    mix('.');
+    for (char c : label) util::fnv1a(h, lower(c));
+    util::fnv1a(h, '.');
   }
   return h;
 }

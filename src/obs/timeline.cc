@@ -1,38 +1,26 @@
 #include "obs/timeline.h"
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <utility>
 
+#include "util/hash.h"
+
 namespace rootstress::obs {
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void mix(std::uint64_t& h, const void* data, std::size_t n) noexcept {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= bytes[i];
-    h *= kFnvPrime;
-  }
-}
-
-void mix_u64(std::uint64_t& h, std::uint64_t v) noexcept { mix(h, &v, 8); }
+void mix_u64(std::uint64_t& h, std::uint64_t v) noexcept { util::fnv1a(h, v); }
 
 void mix_str(std::uint64_t& h, const std::string& s) noexcept {
   mix_u64(h, s.size());
-  mix(h, s.data(), s.size());
+  util::fnv1a(h, s.data(), s.size());
 }
 
 void mix_double(std::uint64_t& h, double v) noexcept {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  mix_u64(h, bits);
+  mix_u64(h, std::bit_cast<std::uint64_t>(v));
 }
 
 }  // namespace
@@ -69,7 +57,7 @@ const TimelineSeries* TimelineData::find(
 }
 
 std::uint64_t TimelineData::digest() const noexcept {
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = util::kFnvOffset;
   mix_u64(h, static_cast<std::uint64_t>(start_ms));
   mix_u64(h, static_cast<std::uint64_t>(bin_ms));
   mix_u64(h, bins);

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <limits>
 
+#include "util/hash.h"
+
 namespace rootstress::resolver {
 
 namespace {
@@ -28,20 +30,6 @@ std::uint64_t resolver_stream_key(std::uint64_t seed, int resolver,
              0x100000001b3ull));
   key = util::mix64(key ^ (step * 0xc2b2ae3d27d4eb4full));
   return key;
-}
-
-void fnv_bytes(std::uint64_t& hash, const void* data,
-               std::size_t size) noexcept {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001b3ULL;
-  }
-}
-
-template <typename T>
-void fnv_value(std::uint64_t& hash, const T& value) noexcept {
-  fnv_bytes(hash, &value, sizeof(value));
 }
 
 }  // namespace
@@ -130,19 +118,19 @@ double EndUserReport::success_rate_between(std::int64_t begin_ms,
 }
 
 std::uint64_t EndUserReport::digest() const noexcept {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  fnv_value(hash, enabled);
-  fnv_value(hash, start_ms);
-  fnv_value(hash, bin_ms);
+  std::uint64_t hash = util::kFnvOffset;
+  util::fnv1a(hash, enabled);
+  util::fnv1a(hash, start_ms);
+  util::fnv1a(hash, bin_ms);
   const std::uint64_t bins = client_queries.size();
-  fnv_value(hash, bins);
+  util::fnv1a(hash, bins);
   for (std::size_t b = 0; b < client_queries.size(); ++b) {
-    fnv_value(hash, client_queries[b]);
-    fnv_value(hash, cache_hits[b]);
-    fnv_value(hash, root_queries[b]);
-    fnv_value(hash, retries[b]);
-    fnv_value(hash, failures[b]);
-    fnv_value(hash, std::bit_cast<std::uint64_t>(latency_sum_ms[b]));
+    util::fnv1a(hash, client_queries[b]);
+    util::fnv1a(hash, cache_hits[b]);
+    util::fnv1a(hash, root_queries[b]);
+    util::fnv1a(hash, retries[b]);
+    util::fnv1a(hash, failures[b]);
+    util::fnv1a(hash, std::bit_cast<std::uint64_t>(latency_sum_ms[b]));
   }
   return hash;
 }

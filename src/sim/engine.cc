@@ -255,7 +255,9 @@ SimulationResult SimulationEngine::run() {
   const auto site_count = static_cast<std::size_t>(deployment_->site_count());
   current_loads_.resize(services.size());
   for (auto& load : current_loads_) {
-    // site_count + 1: trailing sink lane for the SoA fluid kernels.
+    // Fresh reuse keys and tallies; site_count + 1: trailing sink lane
+    // for the SoA fluid kernels.
+    load = ServiceLoad{};
     load.attack_qps.assign(site_count + 1, 0.0);
     load.legit_qps.assign(site_count + 1, 0.0);
   }
@@ -505,6 +507,20 @@ SimulationResult SimulationEngine::run() {
         .add(pool_->tasks_executed());
     metrics.counter("parallel.dispatches", {{"component", "engine"}})
         .add(pool_->dispatches());
+    // Fluid work: how many service-steps recomputed their per-site loads
+    // and how many reused the previous step's (same catchment epoch and
+    // rates). Tallied per service lane, so the parallel pass needs no
+    // atomics.
+    std::uint64_t load_recomputes = 0;
+    std::uint64_t load_reuses = 0;
+    for (const ServiceLoad& load : current_loads_) {
+      load_recomputes += load.recomputes;
+      load_reuses += load.reuses;
+    }
+    metrics.counter("sim.fluid.load_recomputes", {{"component", "engine"}})
+        .add(load_recomputes);
+    metrics.counter("sim.fluid.load_reuses", {{"component", "engine"}})
+        .add(load_reuses);
     // Flush the trace when asked, then snapshot; the snapshot counts the
     // flush log line too, which is fine — telemetry observes itself last.
     if (const char* path = std::getenv("ROOTSTRESS_TRACE");

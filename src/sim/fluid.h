@@ -7,6 +7,7 @@
 // pressure for one service in one step.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "anycast/deployment.h"
@@ -23,11 +24,31 @@ namespace rootstress::sim {
 /// AnycastRouting::set_unrouted_slot). compute_service_load_into drains
 /// the sink into unrouted_* and zeroes it before returning, so consumers
 /// indexing by global site id never observe it.
+///
+/// A ServiceLoad also remembers the inputs of its last computation (the
+/// service's catchment epoch and the bit patterns of both rates): when a
+/// step repeats all three, compute_service_load_into leaves it untouched.
+/// One ServiceLoad therefore belongs to one (deployment, service) pair.
 struct ServiceLoad {
   std::vector<double> attack_qps;  ///< indexed by global site id
   std::vector<double> legit_qps;
   double unrouted_attack = 0.0;    ///< traffic with no route (blackholed)
   double unrouted_legit = 0.0;
+
+  /// Work tallies of compute_service_load_into on this buffer.
+  std::uint64_t recomputes = 0;
+  std::uint64_t reuses = 0;
+
+ private:
+  friend void compute_service_load_into(const anycast::RootDeployment&,
+                                        const anycast::ServiceInfo&,
+                                        const attack::Botnet&,
+                                        const attack::LegitTraffic&, double,
+                                        double, ServiceLoad&);
+  /// Inputs of the last computation; the epoch sentinel means "never".
+  std::uint64_t epoch_ = ~std::uint64_t{0};
+  std::uint64_t attack_bits_ = 0;
+  std::uint64_t legit_bits_ = 0;
 };
 
 /// Computes where one service's traffic lands given current routing.
@@ -41,8 +62,12 @@ ServiceLoad compute_service_load(const anycast::RootDeployment& deployment,
 
 /// Allocation-free variant: writes into `out`, resizing its per-site
 /// vectors only on first use (the engine preallocates one ServiceLoad
-/// per service and reuses them every step). Safe to call concurrently
-/// for different services/outputs; reads only routing state.
+/// per service and reuses them every step). Returns early, leaving `out`
+/// bit-identical, when the service's catchment epoch and both rates'
+/// bit patterns equal those of `out`'s last computation. Safe to call
+/// concurrently for different services/outputs; reads only routing
+/// state. Throws std::logic_error unless the routing's unrouted slot is
+/// the deployment's sink lane (RootDeployment always installs it).
 void compute_service_load_into(const anycast::RootDeployment& deployment,
                                const anycast::ServiceInfo& service,
                                const attack::Botnet& botnet,

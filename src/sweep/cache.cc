@@ -10,6 +10,7 @@
 
 #include "fault/schedule.h"
 #include "playbook/rules.h"
+#include "util/hash.h"
 
 namespace rootstress::sweep {
 
@@ -186,12 +187,8 @@ std::uint64_t config_hash(const sim::ScenarioConfig& config,
   std::string text = scenario_fingerprint(config).dump();
   text.push_back('\x1f');
   text.append(salt);
-  // FNV-1a 64.
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
+  std::uint64_t hash = util::kFnvOffset;
+  util::fnv1a(hash, text.data(), text.size());
   return hash;
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 namespace rootstress::bgp {
 namespace {
 
@@ -107,6 +110,104 @@ TEST(AnycastRouting, MultiplePrefixesIndependent) {
   EXPECT_FALSE(routing.announced(k, 0));
   EXPECT_TRUE(routing.announced(e, 0));
   EXPECT_TRUE(routing.routes(e)[1].reachable());
+}
+
+
+// The catchment epoch is the fluid layer's reuse key: it must move
+// exactly when site_of() can have moved, in both recompute modes.
+constexpr RecomputeMode kModes[] = {RecomputeMode::kFull,
+                                    RecomputeMode::kIncremental};
+
+std::vector<std::int32_t> site_of_copy(const AnycastRouting& routing,
+                                       int prefix) {
+  const auto view = routing.site_of(prefix);
+  return {view.begin(), view.end()};
+}
+
+TEST(AnycastRouting, CatchmentEpochBumpsWhenAnAsMoves) {
+  for (const RecomputeMode mode : kModes) {
+    SCOPED_TRACE(mode == RecomputeMode::kFull ? "full" : "incremental");
+    const auto topo = two_site_topo();
+    AnycastRouting routing(topo);
+    routing.set_mode(mode);
+    const int k = routing.register_prefix("K", two_origins());
+    const int e = routing.register_prefix("E", two_origins());
+    const std::uint64_t k0 = routing.catchment_epoch(k);
+    const std::uint64_t e0 = routing.catchment_epoch(e);
+    const auto before = site_of_copy(routing, k);
+
+    ASSERT_FALSE(routing.set_announced(k, 0, false, net::SimTime(1)).empty());
+    EXPECT_NE(site_of_copy(routing, k), before);
+    EXPECT_EQ(routing.catchment_epoch(k), k0 + 1);
+    EXPECT_EQ(routing.catchment_epoch(e), e0) << "another prefix moved";
+
+    ASSERT_FALSE(routing.set_announced(k, 0, true, net::SimTime(2)).empty());
+    EXPECT_EQ(site_of_copy(routing, k), before);
+    EXPECT_EQ(routing.catchment_epoch(k), k0 + 2)
+        << "a move back is still a move";
+  }
+}
+
+TEST(AnycastRouting, CatchmentEpochStaysWhenNoAsMoves) {
+  for (const RecomputeMode mode : kModes) {
+    SCOPED_TRACE(mode == RecomputeMode::kFull ? "full" : "incremental");
+    const auto topo = two_site_topo();
+    AnycastRouting routing(topo);
+    routing.set_mode(mode);
+    const int k = routing.register_prefix("K", two_origins());
+    const std::uint64_t k0 = routing.catchment_epoch(k);
+    const auto before = site_of_copy(routing, k);
+    int observed_moves = 0;
+    routing.set_observer(
+        [&](int, const std::vector<RouteChange>&) { ++observed_moves; });
+
+    // The site the client stub does not pick serves only its own host
+    // AS, which keeps self-originating under any prepend: the toggle
+    // recomputes but moves nobody.
+    const int loser = 1 - routing.routes(k)[3].site_id;
+    EXPECT_EQ(routing.prepend(k, loser), 0);
+    EXPECT_TRUE(routing.set_prepend(k, loser, 3, net::SimTime(1)).empty());
+    EXPECT_EQ(routing.prepend(k, loser), 3);
+    // Re-setting the same state does not even recompute.
+    EXPECT_TRUE(routing.set_prepend(k, loser, 3, net::SimTime(2)).empty());
+    EXPECT_TRUE(routing.set_announced(k, 0, true, net::SimTime(3)).empty());
+    routing.set_unrouted_slot(routing.unrouted_slot());
+
+    EXPECT_EQ(site_of_copy(routing, k), before);
+    EXPECT_EQ(routing.catchment_epoch(k), k0);
+    EXPECT_EQ(observed_moves, 0);
+  }
+}
+
+TEST(AnycastRouting, CatchmentEpochBumpsOnUnroutedSlot) {
+  for (const RecomputeMode mode : kModes) {
+    SCOPED_TRACE(mode == RecomputeMode::kFull ? "full" : "incremental");
+    const auto topo = two_site_topo();
+    AnycastRouting routing(topo);
+    routing.set_mode(mode);
+    const int k = routing.register_prefix("K", two_origins());
+    const int e = routing.register_prefix("E", two_origins());
+    const std::uint64_t k0 = routing.catchment_epoch(k);
+    const std::uint64_t e0 = routing.catchment_epoch(e);
+
+    routing.set_unrouted_slot(2);
+    EXPECT_EQ(routing.catchment_epoch(k), k0 + 1);
+    EXPECT_EQ(routing.catchment_epoch(e), e0 + 1);
+    routing.set_unrouted_slot(2);  // same slot: nothing to rewrite
+    EXPECT_EQ(routing.catchment_epoch(k), k0 + 1);
+    EXPECT_EQ(routing.catchment_epoch(e), e0 + 1);
+
+    // Withdrawing both sites makes every AS unrouted: they now hold the
+    // configured slot, and the epoch says so.
+    routing.set_announced(k, 0, false, net::SimTime(1));
+    const std::uint64_t k1 = routing.catchment_epoch(k);
+    routing.set_announced(k, 1, false, net::SimTime(2));
+    EXPECT_EQ(routing.catchment_epoch(k), k1 + 1);
+    for (const std::int32_t slot : routing.site_of(k)) EXPECT_EQ(slot, 2);
+    routing.set_unrouted_slot(-1);
+    EXPECT_EQ(routing.catchment_epoch(k), k1 + 2);
+    for (const std::int32_t slot : routing.site_of(k)) EXPECT_EQ(slot, -1);
+  }
 }
 
 }  // namespace

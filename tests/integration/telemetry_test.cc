@@ -122,6 +122,25 @@ TEST_F(TelemetryRun, MetricsMatchRunShape) {
   }
 }
 
+// Every service-step of fluid pass 1 either recomputed its per-site
+// loads or reused them; with routing quiet most of the run, most reuse.
+TEST_F(TelemetryRun, FluidLoadCountersCoverEveryServiceStep) {
+  const obs::Snapshot& snap = result_->telemetry;
+  const obs::MetricSample* steps =
+      snap.find_metric("sim.steps{component=engine}");
+  const obs::MetricSample* recomputes =
+      snap.find_metric("sim.fluid.load_recomputes{component=engine}");
+  const obs::MetricSample* reuses =
+      snap.find_metric("sim.fluid.load_reuses{component=engine}");
+  ASSERT_NE(steps, nullptr);
+  ASSERT_NE(recomputes, nullptr);
+  ASSERT_NE(reuses, nullptr);
+  const double services = static_cast<double>(result_->letter_chars.size());
+  EXPECT_DOUBLE_EQ(recomputes->value + reuses->value, steps->value * services);
+  EXPECT_GE(recomputes->value, services);  // the first step computes all
+  EXPECT_GT(reuses->value, recomputes->value);
+}
+
 TEST_F(TelemetryRun, TelemetryJsonRoundTrips) {
   const std::string text = core::telemetry_json(result_->telemetry);
   const auto parsed = obs::json_parse(text);

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
+#include <limits>
+#include <stdexcept>
+#include <vector>
+
+#include "util/rng.h"
+
 namespace rootstress::sim {
 namespace {
 
@@ -116,6 +124,126 @@ TEST(Fluid, IntoVariantMatchesAndReusesBuffers) {
   EXPECT_EQ(reused.legit_qps, fresh2.legit_qps);
   for (const double qps : reused.attack_qps) EXPECT_DOUBLE_EQ(qps, 0.0);
   EXPECT_DOUBLE_EQ(reused.unrouted_attack, 0.0);
+}
+
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// A persistent ServiceLoad that skips recomputation when the catchment
+// epoch and both rates' bit patterns repeat must hold exactly what a fresh
+// computation writes, through routing churn and awkward rate values.
+TEST(FluidLoad, ReusedLoadMatchesFresh) {
+  anycast::RootDeployment deployment(small_config());
+  const auto botnet = attack::Botnet::build(deployment.topology(), {});
+  const auto legit = attack::LegitTraffic::build(deployment.topology(), {});
+  const auto& svc = deployment.service('K');
+  ASSERT_GE(svc.site_ids.size(), 2u);
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // +0.0/-0.0 and the two NaNs compare equal-or-unordered but differ in
+  // bits; 0.1 + 0.2 and 0.3 differ by one ulp.
+  const std::array<double, 9> rates = {
+      5e6, 40e3, 0.0, -0.0, nan, -nan, 0.1 + 0.2, 0.3, 1.25e5};
+  util::Rng rng(20151130);
+  ServiceLoad persistent;
+  double attack = rates[0];
+  double legit_qps = rates[1];
+  std::uint64_t moves = 0;
+  constexpr int kSteps = 400;
+  for (int step = 0; step < kSteps; ++step) {
+    const auto now = net::SimTime::from_minutes(step);
+    const int site =
+        svc.site_ids[static_cast<std::size_t>(rng.below(svc.site_ids.size()))];
+    switch (rng.below(6)) {
+      case 0:
+        moves += !deployment.apply_scope(site, anycast::SiteScope::kDown, now)
+                      .empty();
+        break;
+      case 1:
+        moves +=
+            !deployment.apply_scope(site, anycast::SiteScope::kGlobal, now)
+                 .empty();
+        break;
+      case 2:
+        moves +=
+            !deployment.apply_scope(site, anycast::SiteScope::kLocalOnly, now)
+                 .empty();
+        break;
+      case 3:
+        moves += !deployment
+                      .apply_prepend(site, static_cast<int>(rng.below(4)), now)
+                      .empty();
+        break;
+      default:  // steady routing: only the rates may change
+        break;
+    }
+    // Rates repeat often, so reuse is exercised, and change bit pattern
+    // without changing value, so a value-equality key would be caught.
+    if (rng.below(3) == 0) attack = rates[rng.below(rates.size())];
+    if (rng.below(3) == 0) legit_qps = rates[rng.below(rates.size())];
+
+    compute_service_load_into(deployment, svc, botnet, legit, attack,
+                              legit_qps, persistent);
+    const ServiceLoad fresh =
+        compute_service_load(deployment, svc, botnet, legit, attack, legit_qps);
+    ASSERT_TRUE(same_bits(persistent.attack_qps, fresh.attack_qps))
+        << "step " << step;
+    ASSERT_TRUE(same_bits(persistent.legit_qps, fresh.legit_qps))
+        << "step " << step;
+    ASSERT_TRUE(same_bits(persistent.unrouted_attack, fresh.unrouted_attack))
+        << "step " << step;
+    ASSERT_TRUE(same_bits(persistent.unrouted_legit, fresh.unrouted_legit))
+        << "step " << step;
+  }
+  EXPECT_EQ(persistent.recomputes + persistent.reuses,
+            static_cast<std::uint64_t>(kSteps));
+  EXPECT_GT(moves, 0u) << "the sequence never moved the catchment";
+  EXPECT_GT(persistent.reuses, 0u);
+  EXPECT_GT(persistent.recomputes, moves);
+}
+
+TEST(FluidLoad, ReuseKeysOnBitsNotValues) {
+  anycast::RootDeployment deployment(small_config());
+  const auto botnet = attack::Botnet::build(deployment.topology(), {});
+  const auto legit = attack::LegitTraffic::build(deployment.topology(), {});
+  const auto& svc = deployment.service('K');
+  ServiceLoad load;
+  compute_service_load_into(deployment, svc, botnet, legit, 0.0, 40e3, load);
+  compute_service_load_into(deployment, svc, botnet, legit, 0.0, 40e3, load);
+  EXPECT_EQ(load.recomputes, 1u);
+  EXPECT_EQ(load.reuses, 1u);
+  compute_service_load_into(deployment, svc, botnet, legit, -0.0, 40e3, load);
+  EXPECT_EQ(load.recomputes, 2u) << "-0.0 must not reuse +0.0's result";
+  // A withdrawal that moves ASes bumps the epoch; the rates alone repeat.
+  bool moved = false;
+  for (const int site : svc.site_ids) {
+    moved = !deployment.apply_scope(site, anycast::SiteScope::kDown,
+                                    net::SimTime(1))
+                 .empty();
+    if (moved) break;
+  }
+  ASSERT_TRUE(moved);
+  compute_service_load_into(deployment, svc, botnet, legit, -0.0, 40e3, load);
+  EXPECT_EQ(load.recomputes, 3u);
+  EXPECT_EQ(load.reuses, 1u);
+}
+
+TEST(FluidLoad, RoutingWithoutSinkSlotIsRejected) {
+  anycast::RootDeployment deployment(small_config());
+  const auto botnet = attack::Botnet::build(deployment.topology(), {});
+  const auto legit = attack::LegitTraffic::build(deployment.topology(), {});
+  deployment.routing().set_unrouted_slot(-1);
+  ServiceLoad load;
+  EXPECT_THROW(compute_service_load_into(deployment, deployment.service('K'),
+                                         botnet, legit, 5e6, 40e3, load),
+               std::logic_error);
 }
 
 }  // namespace
