@@ -26,50 +26,52 @@
 #      baseline, fault-laden runs are thread-count invariant, the patient
 #      plan out-oscillates nothing, and the fault-schedule campaign axis
 #      caches four distinct digests cold then serves them all warm.
-#   7. Observability gate: bench_obs_overhead (full telemetry incl. the
-#      flight recorder must stay within 5% of a dark run on the June 2016
-#      scenario, writing BENCH_obs.json), and the first pulse_duel pass
-#      re-run with ROOTSTRESS_PERFETTO set — the exported Chrome-trace
-#      document must be valid JSON with a traceEvents array.
-#   8. Scale gate: bench_scale's smoke sizes — the churn-heavy 10^4-AS
-#      cell must show incremental BGP >= 5x faster than full recompute
-#      with bit-identical RouteChange/catchment output, plus records/sec
-#      at three growing populations (ROOTSTRESS_SCALE_FULL=1 runs the
-#      full population ladder instead), writing BENCH_scale.json.
-#   9. Distributed gate: bench_distributed (subprocess fabric digests at
-#      1 and 4 workers must be bit-identical to in-process, a killed
-#      worker's cells must be re-leased to completion, coordination
-#      overhead bounded; writes BENCH_distributed.json), then the smoke
-#      campaign re-run on the fabric — cold on 2 workers must execute
-#      all 4 cells through the subprocess executor and a warm pass must
-#      serve every cell from the cache the workers populated.
-#  10. Netio gate: a wirestress --duel --quick loopback smoke (real UDP
-#      packets through the generator and server-under-test), then
-#      bench_netio — batched-send throughput must clear the 50k q/s bar
-#      on loopback AND the measured answered fraction under a 2x capacity
-#      overload must agree with the fluid simulator's prediction within
-#      10% (writes BENCH_netio.json).
-#  11. End-user gate: the resolver-population integration tests on both
+#   7. Observability gate: the first pulse_duel pass re-run with
+#      ROOTSTRESS_PERFETTO set — the exported Chrome-trace document must
+#      be valid JSON with a traceEvents array.
+#   8. Distributed gate: the smoke campaign re-run on the subprocess
+#      fabric — cold on 2 workers must execute all 4 cells through the
+#      subprocess executor and a warm pass must serve every cell from the
+#      cache the workers populated.
+#   9. Netio gate: a wirestress --duel --quick loopback smoke (real UDP
+#      packets through the generator and server-under-test).
+#  10. End-user gate: the resolver-population integration tests on both
 #      engine paths, then the enduser_duel example at ROOTSTRESS_THREADS=1
 #      (with ROOTSTRESS_DATASET set — every exported line must be valid
 #      JSON with the attack/legit labels present) and 4 — it exits
 #      non-zero unless cached+retrying resolvers beat cache-less clients
 #      through the pulse window, reports are thread-count invariant, and
-#      the resolver-profile campaign axis caches distinct digests — and
-#      bench_enduser (stepping the population must cost < 5% wall clock
-#      and leave every server-side series bit-identical, writing
-#      BENCH_enduser.json).
-#  12. Debug build with ThreadSanitizer, running the thread-pool unit
+#      the resolver-profile campaign axis caches distinct digests.
+#  11. Debug build with ThreadSanitizer, running the thread-pool unit
 #      tests, the parallel-determinism integration test, the
 #      incremental-vs-full BGP cross-check (debug builds cross-check
 #      every mutation), the resolver-population unit tests (sharded
 #      stepping races), and the netio socket/server/generator tests
 #      (real threads + real sockets) under TSan.
+#  12. Bench gates, last so a timing bar never hides a correctness stage:
+#      bench_gates runs every leg (obs, playbook, fault, enduser,
+#      parallel, scale, distributed, netio, sweep) even after one fails,
+#      prints one verdict table and writes every leg's record to
+#      build/check-release/BENCH_gates.json. `bench_gates <leg>` re-runs
+#      one leg; `bench_gates scale-full` runs the full scale ladder.
 #
 # Usage: scripts/check.sh  (from the repo root; build trees land in
 # build/check-release, build/check-asan and build/check-tsan).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Runs a campaign command, copies its output into the log on stderr and
+# prints its `executed=` summary line. The output goes through the
+# inherited fd, not `tee /dev/stderr`: tee reopens a redirected log,
+# and either truncates it or, with -a, writes past the shell's own
+# offset, where the next line logged overwrites it.
+campaign_summary() {
+  local out status=0
+  out=$("$@") || status=$?
+  echo "$out" >&2
+  [[ $status -eq 0 ]] || return "$status"
+  grep '^executed=' <<< "$out"
+}
 
 echo "=== Release build ==="
 cmake -B build/check-release -S . -DCMAKE_BUILD_TYPE=Release
@@ -104,12 +106,12 @@ echo "paper report ok: $(wc -l < "$PAPER_OUT") lines in $PAPER_OUT"
 echo "=== Smoke campaign: cold fills the cache, warm must not execute ==="
 SWEEP_CACHE="$(mktemp -d)"
 trap 'rm -rf "$SWEEP_CACHE"' EXIT
-cold_line=$(./build/check-release/examples/campaign_sweep --smoke \
-  --cache "$SWEEP_CACHE" | tee /dev/stderr | grep '^executed=')
+cold_line=$(campaign_summary ./build/check-release/examples/campaign_sweep \
+  --smoke --cache "$SWEEP_CACHE")
 [[ "$cold_line" == executed=4\ cache_hits=0\ * ]] ||
   { echo "FAIL: cold smoke campaign expected executed=4 cache_hits=0, got: $cold_line"; exit 1; }
-warm_line=$(./build/check-release/examples/campaign_sweep --smoke \
-  --cache "$SWEEP_CACHE" | tee /dev/stderr | grep '^executed=')
+warm_line=$(campaign_summary ./build/check-release/examples/campaign_sweep \
+  --smoke --cache "$SWEEP_CACHE")
 [[ "$warm_line" == executed=0\ cache_hits=4\ * ]] ||
   { echo "FAIL: warm smoke campaign expected executed=0 cache_hits=4, got: $warm_line"; exit 1; }
 
@@ -156,33 +158,21 @@ ROOTSTRESS_THREADS=4 ./build/check-release/examples/pulse_duel --quick \
   --cache "$PULSE_CACHE"
 rm -rf "$PULSE_CACHE"
 
-echo "=== Telemetry overhead: flight recorder must stay within budget ==="
-./build/check-release/bench/bench_obs_overhead BENCH_obs.json
-
-echo "=== Scale gate: incremental BGP must beat full recompute 5x ==="
-./build/check-release/bench/bench_scale BENCH_scale.json
-
-echo "=== Distributed gate: fabric digests must match in-process ==="
-./build/check-release/bench/bench_distributed BENCH_distributed.json
-
 echo "=== Smoke campaign on the subprocess fabric, cold then warm ==="
 FABRIC_CACHE="$(mktemp -d)"
-fabric_cold=$(./build/check-release/examples/campaign_sweep --smoke \
-  --executor subprocess --workers 2 --cache "$FABRIC_CACHE" |
-  tee /dev/stderr | grep '^executed=')
+fabric_cold=$(campaign_summary ./build/check-release/examples/campaign_sweep \
+  --smoke --executor subprocess --workers 2 --cache "$FABRIC_CACHE")
 [[ "$fabric_cold" == executed=4\ cache_hits=0\ * &&
    "$fabric_cold" == *executor=subprocess* ]] ||
   { echo "FAIL: cold fabric smoke expected executed=4 on subprocess, got: $fabric_cold"; exit 1; }
-fabric_warm=$(./build/check-release/examples/campaign_sweep --smoke \
-  --executor subprocess --workers 2 --cache "$FABRIC_CACHE" |
-  tee /dev/stderr | grep '^executed=')
+fabric_warm=$(campaign_summary ./build/check-release/examples/campaign_sweep \
+  --smoke --executor subprocess --workers 2 --cache "$FABRIC_CACHE")
 [[ "$fabric_warm" == executed=0\ cache_hits=4\ * ]] ||
   { echo "FAIL: warm fabric smoke expected executed=0 cache_hits=4, got: $fabric_warm"; exit 1; }
 rm -rf "$FABRIC_CACHE"
 
-echo "=== Netio gate: wire smoke, then throughput + calibration ==="
+echo "=== Netio gate: wire smoke over loopback UDP ==="
 ./build/check-release/examples/wirestress --duel --quick
-./build/check-release/bench/bench_netio BENCH_netio.json
 
 echo "=== End-user integration, serial and pooled engines ==="
 ROOTSTRESS_THREADS=1 ./build/check-release/tests/integration_test \
@@ -221,9 +211,6 @@ ROOTSTRESS_THREADS=4 ./build/check-release/examples/enduser_duel --quick \
   --cache "$ENDUSER_CACHE"
 rm -rf "$ENDUSER_CACHE"
 
-echo "=== Resolver-population overhead: in-loop clients must stay free ==="
-./build/check-release/bench/bench_enduser BENCH_enduser.json
-
 echo "=== Debug + ThreadSanitizer build ==="
 cmake -B build/check-tsan -S . -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -g" \
@@ -243,5 +230,8 @@ echo "=== Netio tests under TSan: sockets + server + generator threads ==="
 (cd build/check-tsan &&
   ./tests/netio_test \
     --gtest_filter='Modes/SocketRoundTrip.*:WireServer.LoopbackIntegrationAnswersRealSocketQuery:LoadGenerator.*')
+
+echo "=== Bench gates: every leg, one verdict table ==="
+./build/check-release/bench/bench_gates --json build/check-release/BENCH_gates.json
 
 echo "ALL CHECKS PASSED"

@@ -6,8 +6,8 @@
 // anycast::evaluate_queue, RRL suppression via dns::expected_suppression)
 // is pushed through real sockets at a WireServer with the same modeled
 // capacity, and the measured answered fraction must agree with the
-// analytic prediction. bench_netio runs the closed loop and gates on the
-// agreement; these helpers are the prediction side.
+// analytic prediction. `bench_gates netio` runs the closed loop and gates
+// on the agreement; these helpers are the prediction side.
 #pragma once
 
 #include "anycast/queue_model.h"

@@ -18,7 +18,7 @@
 //  - Every series is preallocated to the run's bin count at
 //    registration; record() is a bounds-check plus two array writes —
 //    cheap enough to run per site per step inside the 5% telemetry
-//    overhead budget bench_obs_overhead enforces.
+//    overhead budget `bench_gates obs` enforces.
 //  - The recorder lives behind the nullable obs::Runtime* like every
 //    other telemetry surface; its plain-data snapshot (TimelineData)
 //    rides on obs::Snapshot and is exported by core::write_telemetry.

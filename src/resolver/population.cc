@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "util/hash.h"
+#include "util/stream_key.h"
 
 namespace rootstress::resolver {
 
@@ -18,21 +19,12 @@ constexpr double kCacheAnswerMs = 1.0;
 /// thread pool (see the dispatch-cost note in step()).
 constexpr int kParallelResolverThreshold = 4096;
 
-/// Counter-based stream key for (seed, resolver, step): the same
-/// chained-mix construction as sim/probe_rng.h, so a resolver's draws
-/// depend only on its identity and the step — never on which thread ran
-/// it or what other resolvers drew.
+}  // namespace
+
 std::uint64_t resolver_stream_key(std::uint64_t seed, int resolver,
                                   std::uint64_t step) noexcept {
-  std::uint64_t key = util::mix64(seed ^ 0x9e3779b97f4a7c15ull);
-  key = util::mix64(
-      key ^ (static_cast<std::uint64_t>(static_cast<std::uint32_t>(resolver)) *
-             0x100000001b3ull));
-  key = util::mix64(key ^ (step * 0xc2b2ae3d27d4eb4full));
-  return key;
+  return util::stream_key(seed, static_cast<std::uint32_t>(resolver), step);
 }
-
-}  // namespace
 
 std::string validate_population(const PopulationConfig& config) {
   if (config.resolvers < 1) return "resolver population must be positive";

@@ -70,6 +70,13 @@ struct PopulationConfig {
   bool operator==(const PopulationConfig&) const = default;
 };
 
+/// Counter-based stream key for (seed, resolver, step), built by
+/// util::stream_key like the probe streams: a resolver's draws depend
+/// only on its identity and the step, never on which thread ran it or
+/// what other resolvers drew.
+std::uint64_t resolver_stream_key(std::uint64_t seed, int resolver,
+                                  std::uint64_t step) noexcept;
+
 /// Empty when the config is usable, else the first problem (the engine
 /// rejects invalid profiles with std::invalid_argument carrying this).
 std::string validate_population(const PopulationConfig& config);

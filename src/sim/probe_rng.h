@@ -5,15 +5,16 @@
 // Rng: the draw order would depend on thread interleaving and results
 // would differ run to run. Instead every probe derives its own stream
 // from the probe's identity — (scenario seed, service, VP, probe time) —
-// via stateless mix64 rounds. The draws a probe makes are therefore a
-// pure function of that key: bit-identical for any thread count, any
-// shard layout, and any execution order.
+// via util::stream_key's stateless mix64 rounds. The draws a probe makes
+// are therefore a pure function of that key: bit-identical for any thread
+// count, any shard layout, and any execution order.
 #pragma once
 
 #include <cstdint>
 
 #include "net/clock.h"
 #include "util/rng.h"
+#include "util/stream_key.h"
 
 namespace rootstress::sim {
 
@@ -21,15 +22,9 @@ namespace rootstress::sim {
 /// the engine) so tests can assert the purity contract directly.
 inline std::uint64_t probe_stream_key(std::uint64_t seed, int service_index,
                                       int vp_id, net::SimTime when) noexcept {
-  std::uint64_t key = util::mix64(seed ^ 0x9e3779b97f4a7c15ull);
-  key = util::mix64(key ^ (static_cast<std::uint64_t>(
-                               static_cast<std::uint32_t>(service_index)) *
-                           0x100000001b3ull));
-  key = util::mix64(key ^ (static_cast<std::uint64_t>(
-                               static_cast<std::uint32_t>(vp_id)) *
-                           0xc2b2ae3d27d4eb4full));
-  key = util::mix64(key ^ static_cast<std::uint64_t>(when.ms));
-  return key;
+  return util::stream_key(seed, static_cast<std::uint32_t>(service_index),
+                          static_cast<std::uint32_t>(vp_id),
+                          static_cast<std::uint64_t>(when.ms));
 }
 
 /// Generator for one probe. Draw order inside a probe is fixed by the

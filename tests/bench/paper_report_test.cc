@@ -1,34 +1,18 @@
 // The paper_report command line: a registered name runs its emitter, an
 // unknown one is refused with the list of valid names. Only the analytic
 // policy_model entry runs here, so no engine replay is started.
-#include <sys/wait.h>
-
-#include <cstdio>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "run_binary.h"
+
 namespace {
 
-struct Outcome {
-  int exit_code = -1;
-  std::string output;  ///< stdout and stderr together
-};
+using rootstress::bench_test::Outcome;
 
 Outcome run_paper_report(const std::string& args) {
-  Outcome outcome;
-  const std::string command =
-      std::string(PAPER_REPORT_PATH) + " " + args + " 2>&1";
-  FILE* pipe = popen(command.c_str(), "r");
-  if (pipe == nullptr) return outcome;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0) {
-    outcome.output.append(buf, n);
-  }
-  const int status = pclose(pipe);
-  if (WIFEXITED(status)) outcome.exit_code = WEXITSTATUS(status);
-  return outcome;
+  return rootstress::bench_test::run_binary(PAPER_REPORT_PATH, args);
 }
 
 TEST(PaperReport, Registry) {

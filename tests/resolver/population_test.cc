@@ -26,6 +26,16 @@ std::array<double, kLetterCount> all(double value) {
   return a;
 }
 
+TEST(Population, StreamKeyGoldenValues) {
+  // Pinned keys: every resolver draw depends on them, so a change to
+  // util::stream_key that moves one of these changes every end-user
+  // digest.
+  EXPECT_EQ(resolver_stream_key(42, 0, 0), 0xbdc7d5e024e5780full);
+  EXPECT_EQ(resolver_stream_key(42, 999, 2879), 0xf5a3f60754c77616ull);
+  EXPECT_EQ(resolver_stream_key(1130, -3, ~std::uint64_t{0}),
+            0x4e4d715ac9d8a2b9ull);
+}
+
 TEST(Population, ValidateAcceptsTheDefault) {
   EXPECT_EQ(validate_population(PopulationConfig{}), "");
 }

@@ -22,6 +22,17 @@ TEST(ProbeRng, StreamKeyIsAPureFunctionOfItsInputs) {
   EXPECT_NE(probe_stream_key(7, 3, 991, net::SimTime(123457)), a);
 }
 
+TEST(ProbeRng, StreamKeyGoldenValues) {
+  // Pinned keys: every probe record depends on them, so a change to
+  // util::stream_key that moves one of these changes every replay.
+  EXPECT_EQ(probe_stream_key(42, 0, 0, net::SimTime(0)),
+            0x126b7212c13d5e99ull);
+  EXPECT_EQ(probe_stream_key(42, 3, 117, net::SimTime(3600000)),
+            0x3310e0e7f2cae760ull);
+  EXPECT_EQ(probe_stream_key(1130, -1, -7, net::SimTime(-5)),
+            0xe01eb00eafbf320bull);
+}
+
 TEST(ProbeRng, DrawsIndependentOfOtherStreams) {
   // The draws one probe makes must not depend on what other probes drew
   // before it — that is the property that makes probing parallelizable.

@@ -1,7 +1,8 @@
 // Fabric wire protocol: every message kind must round-trip encode ->
 // parse exactly (including 64-bit keys past 2^53 and NaN summary
-// fields), malformed lines must be rejected rather than crash the peer,
-// and LineChannel must frame correctly across partial reads and EOF.
+// fields), malformed and mutated lines must be rejected rather than crash
+// the peer, and LineChannel must frame correctly across partial reads and
+// EOF.
 #include "sweep/fabric/protocol.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,8 @@
 #include <limits>
 #include <string>
 #include <vector>
+
+#include "util/rng.h"
 
 namespace rootstress::sweep::fabric {
 namespace {
@@ -141,6 +144,58 @@ TEST(FabricProtocol, MalformedLinesAreRejectedNotFatal) {
   EXPECT_FALSE(
       parse_message("RESULT {\"index\": 1, \"key\": 123, \"wall_ms\": 1.0}")
           .has_value());
+}
+
+TEST(FabricProtocol, MutatedLinesParseOrAreRejected) {
+  // Seeded mutation loop over a valid line of every message kind: bytes
+  // overwritten, the line truncated, a slice duplicated in place. The
+  // parser reads whatever a worker's socket delivers, so every variant
+  // must come back as a message or nullopt, never a crash or a throw.
+  WireResult result;
+  result.index = 3;
+  result.key = 0xfeedfacecafebeefull;
+  result.wall_ms = 12.5;
+  result.summary = sample_summary();
+  const std::vector<std::string> valid = {
+      encode_hello(4242),         encode_lease(17),
+      encode_ack(9),              encode_shutdown(),
+      encode_heartbeat(3, 1234.5), encode_result(result),
+      encode_error(5, "engine threw"),
+  };
+  util::Rng rng(20151130);
+  int parsed = 0;
+  int rejected = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::string line = valid[rng.below(valid.size())];
+    switch (rng.below(3)) {
+      case 0:  // overwrite 1-4 bytes
+        for (std::uint64_t n = 1 + rng.below(4); n > 0; --n) {
+          line[rng.below(line.size())] = static_cast<char>(rng.below(256));
+        }
+        break;
+      case 1:  // truncate
+        line.resize(rng.below(line.size()));
+        break;
+      default: {  // duplicate a slice in place
+        const std::size_t from = rng.below(line.size());
+        const std::size_t len = 1 + rng.below(line.size() - from);
+        line.insert(from, line.substr(from, len));
+        break;
+      }
+    }
+    std::optional<Message> msg;
+    ASSERT_NO_THROW(msg = parse_message(line)) << "line: " << line;
+    if (msg.has_value()) {
+      EXPECT_LE(static_cast<int>(msg->kind),
+                static_cast<int>(MessageKind::kError));
+      ++parsed;
+    } else {
+      ++rejected;
+    }
+  }
+  // Both outcomes occur, so the loop reaches past the keyword check.
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(FabricLineChannel, FramesLinesAcrossPartialWrites) {
