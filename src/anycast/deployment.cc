@@ -1,7 +1,6 @@
 #include "anycast/deployment.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <stdexcept>
 
 #include "obs/runtime.h"
@@ -70,9 +69,7 @@ std::vector<LetterConfig> synthetic_letter_table(const SyntheticDeployment& syn,
     for (int i = 0; i < syn.sites_per_service; ++i) {
       const net::Location& loc = locations[rng.below(locations.size())];
       SiteSpec spec;
-      char code[8];
-      std::snprintf(code, sizeof(code), "Z%c%04d", cfg.letter, i);
-      spec.code = code;
+      spec.code = synthetic_site_code(cfg.letter, i);
       spec.global = i < cfg.reported_global;
       spec.capacity_qps = syn.site_capacity_qps;
       spec.buffer_packets = syn.site_capacity_qps * 1.2;
@@ -87,6 +84,12 @@ std::vector<LetterConfig> synthetic_letter_table(const SyntheticDeployment& syn,
 }
 
 }  // namespace
+
+std::string synthetic_site_code(char letter, int ordinal) {
+  std::string digits = std::to_string(ordinal);
+  if (digits.size() < 4) digits.insert(0, 4 - digits.size(), '0');
+  return std::string{'Z', letter} + digits;
+}
 
 RootDeployment::RootDeployment(const Config& config) {
   util::Rng rng(config.seed);

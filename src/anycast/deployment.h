@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -43,6 +44,12 @@ struct SyntheticDeployment {
   /// IXP-style direct stub peerings per site (catchment stickiness).
   int peer_stubs_per_site = 2;
 };
+
+/// Pseudo-code of synthetic site `ordinal` (>= 0) of service `letter`: "Z",
+/// the letter, then the ordinal zero-padded to at least four digits
+/// ("ZA0017", "ZA10000", "ZA100000"). Distinct ordinals give distinct
+/// codes; codes of ordinals below 100,000 fit packed site keys.
+std::string synthetic_site_code(char letter, int ordinal);
 
 /// Builds and owns the simulated world: topology, letters, sites,
 /// facilities, and per-service routing.

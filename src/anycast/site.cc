@@ -138,19 +138,31 @@ ProbeReply AnycastSite::probe(net::Ipv4Addr source,
 ProbeReply AnycastSite::probe(net::Ipv4Addr source, const dns::Message& query,
                               net::SimTime /*now: CHAOS is exempt from RRL*/,
                               util::Rng& rng) {
+  return probe_with(probe_state(), source, query, rng);
+}
+
+SiteProbeState AnycastSite::probe_state() const noexcept {
+  return SiteProbeState{arrival_loss_, outcome_.queue_delay_ms,
+                        concentrate_server_, scope_ == SiteScope::kDown,
+                        overloaded_};
+}
+
+ProbeReply AnycastSite::probe_with(const SiteProbeState& state,
+                                   net::Ipv4Addr source,
+                                   const dns::Message& query, util::Rng& rng) {
   ProbeReply reply;
-  if (scope_ == SiteScope::kDown) return reply;
+  if (state.down) return reply;
 
   int server_index = pick_server(source);
-  double loss = arrival_loss_;
-  double delay_ms = outcome_.queue_delay_ms;
+  double loss = state.arrival_loss;
+  double delay_ms = state.queue_delay_ms;
 
-  if (overloaded_) {
+  if (state.overloaded) {
     if (spec_.stress_mode == ServerStressMode::kConcentrate) {
       // Only the surviving server answers; probes hashed elsewhere see
       // pure loss. The survivor keeps moderate latency: the balancer
       // steers its queue around the worst congestion.
-      if (server_index != concentrate_server_) {
+      if (server_index != state.concentrate_server) {
         return reply;
       }
       delay_ms = std::min(delay_ms, 120.0);

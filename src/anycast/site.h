@@ -63,6 +63,18 @@ struct ProbeReply {
   ReplyWire wire;               ///< encoded DNS response (if answered)
 };
 
+/// The per-step site state a probe reads, captured so probes can run
+/// after the site has moved on to later steps. Everything else a probe
+/// reads (stress mode, server load weights and identities, location) is
+/// fixed at construction.
+struct SiteProbeState {
+  double arrival_loss = 0.0;    ///< AnycastSite::arrival_loss()
+  double queue_delay_ms = 0.0;  ///< outcome().queue_delay_ms
+  int concentrate_server = 0;   ///< 0-based survivor when concentrating
+  bool down = false;            ///< scope() == SiteScope::kDown
+  bool overloaded = false;
+};
+
 /// Telemetry wiring for one site: a nullable runtime plus cached
 /// instrument pointers (shared per letter — see make_queue_instruments).
 /// Default-constructed = telemetry off.
@@ -141,12 +153,22 @@ class AnycastSite {
                    const std::vector<std::uint8_t>& query_wire,
                    net::SimTime now, util::Rng& rng);
 
-  /// Same, with the query already decoded — the engine caches the CHAOS
-  /// query per service and skips the per-probe wire decode. Safe to call
-  /// concurrently between begin_step()s: it reads the step's queue state
-  /// and touches only atomic server counters.
+  /// Same, with the query already decoded: probe_with() over the
+  /// site's current probe_state().
   ProbeReply probe(net::Ipv4Addr source, const dns::Message& query,
                    net::SimTime now, util::Rng& rng);
+
+  /// This step's probe-visible state (valid after begin_step()).
+  SiteProbeState probe_state() const noexcept;
+
+  /// Delivers one decoded probe query against a captured `state`, which
+  /// may be from an earlier step: the engine captures each step's states
+  /// and probes a block of steps later. Makes the same draws from `rng`
+  /// in the same order as probe(). Safe to call concurrently, also while
+  /// the site steps on: it reads `state` and construction-time fields
+  /// and touches only atomic server counters.
+  ProbeReply probe_with(const SiteProbeState& state, net::Ipv4Addr source,
+                        const dns::Message& query, util::Rng& rng);
 
   int server_count() const noexcept { return static_cast<int>(servers_.size()); }
   SiteServer& server(int index_0based) { return servers_[static_cast<std::size_t>(index_0based)]; }

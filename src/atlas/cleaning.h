@@ -34,9 +34,9 @@ inline constexpr double kHijackRttFloorMs = 7.0;
 std::vector<bool> select_vps(const std::vector<VantagePoint>& vps,
                              const RecordSet& records, CleaningStats* stats);
 
-/// Filters `records` down to kept VPs (order preserved).
-RecordSet filter_records(const RecordSet& records,
-                         const std::vector<bool>& keep_vp,
-                         CleaningStats* stats);
+/// Compacts `records` in place down to the kept VPs' records (order
+/// preserved, capacity kept): no second record store is built.
+void filter_records(RecordSet& records, const std::vector<bool>& keep_vp,
+                    CleaningStats* stats);
 
 }  // namespace rootstress::atlas

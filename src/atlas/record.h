@@ -44,7 +44,7 @@ using RecordSet = std::vector<ProbeRecord>;
 /// lives in its own contiguous lane while a shard emits records, and the
 /// block packs back into AoS ProbeRecords — in push order — when the
 /// shard's output merges into the run's RecordSet. Keeping the merge in
-/// (service, VP, time) shard order means the packed stream is
+/// step, then (service, VP, time) shard order means the packed stream is
 /// byte-identical to the serial AoS path at any thread count.
 class RecordSoA {
  public:
@@ -84,10 +84,9 @@ class RecordSoA {
     rcode_.push_back(rec.rcode);
   }
 
-  /// Packs the lanes into `out` in push order.
-  void append_to(RecordSet& out) const {
-    out.reserve(out.size() + size());
-    for (std::size_t i = 0; i < vp_.size(); ++i) {
+  /// Packs records [begin, end) of the lanes into `out`, in push order.
+  void append_to(RecordSet& out, std::size_t begin, std::size_t end) const {
+    for (std::size_t i = begin; i < end; ++i) {
       ProbeRecord rec;
       rec.vp = vp_[i];
       rec.t_s = t_s_[i];

@@ -267,28 +267,50 @@ SimulationResult SimulationEngine::run() {
   step_served_legit_.assign(services.size(), 0.0);
   setup_timeline();
   probe_shards_.clear();
-  if (config_.collect_records && !vps_.empty()) {
-    // Service-major, VP-ascending: concatenating shard outputs in this
-    // order reproduces the serial record stream exactly.
+  block_steps_ = 0;
+  probe_blocks_ = 0;
+  if (config_.collect_records && !vps_.empty() && !probed_services_.empty()) {
+    // Service-major, VP-ascending: concatenating one step's shard outputs
+    // in this order reproduces the serial record stream exactly.
     const std::size_t shard_count = std::min(
         vps_.size(),
         threads_ > 1 ? static_cast<std::size_t>(threads_) * 4 : std::size_t{1});
-    for (const int s : probed_services_) {
-      // A VP probes a service at most this many times per step; staging
-      // lanes sized for it never grow while probing.
+    const std::int64_t block_ms =
+        static_cast<std::int64_t>(kProbeBlockSteps) * config_.step.ms;
+    for (std::size_t k = 0; k < probed_services_.size(); ++k) {
+      const int s = probed_services_[k];
+      // A VP's probe times are `interval` apart, so a block's span holds
+      // at most this many of them; staging lanes sized for it never grow
+      // while probing.
       const auto interval = probe_interval_ms_[static_cast<std::size_t>(s)];
-      const auto per_vp_step = static_cast<std::size_t>(
-          (config_.step.ms + interval - 1) / interval);
+      const auto per_vp_block =
+          static_cast<std::size_t>((block_ms + interval - 1) / interval);
       for (std::size_t shard = 0; shard < shard_count; ++shard) {
         ProbeShard task;
         task.service = s;
+        task.probed_index = k;
         task.vp_begin = vps_.size() * shard / shard_count;
         task.vp_end = vps_.size() * (shard + 1) / shard_count;
         if (task.vp_begin == task.vp_end) continue;
-        task.records.reserve((task.vp_end - task.vp_begin) * per_vp_step);
+        task.records.reserve((task.vp_end - task.vp_begin) * per_vp_block);
+        task.step_end.assign(kProbeBlockSteps, 0);
         probe_shards_.push_back(std::move(task));
       }
     }
+    // The block buffers, sized once: capturing and flushing allocate
+    // nothing.
+    const std::size_t probed = probed_services_.size();
+    probe_as_count_ =
+        static_cast<std::size_t>(deployment_->topology().as_count());
+    block_step_begin_.assign(kProbeBlockSteps, net::SimTime{});
+    block_site_states_.assign(kProbeBlockSteps * site_count,
+                              anycast::SiteProbeState{});
+    block_route_slot_.assign(kProbeBlockSteps * probed, 0);
+    route_versions_.assign(probed * kProbeBlockSteps * probe_as_count_, 0);
+    // No copy yet: the first capture of each service copies its catchment
+    // (epochs start at 0 and never reach the sentinel).
+    route_version_epoch_.assign(probed, ~std::uint64_t{0});
+    route_version_slot_.assign(probed, kProbeBlockSteps - 1);
   }
 
   // Per-service instruments (cached pointers; null when telemetry is off).
@@ -415,11 +437,13 @@ SimulationResult SimulationEngine::run() {
       record_rssac(t, result);
     }
 
-    if (config_.collect_records &&
-        config_.probe_window.begin < t + step &&
+    if (!probe_shards_.empty() && config_.probe_window.begin < t + step &&
         t < config_.probe_window.end) {
+      // Serial capture of what this step's probes read; the probes
+      // themselves run a block of steps at a time.
       obs::PhaseProfiler::Scope probe_phase(prof, "atlas-probing");
-      run_probes(t, raw);
+      capture_probe_step(t);
+      if (block_steps_ == kProbeBlockSteps) flush_probes(raw);
     }
 
     {
@@ -459,11 +483,19 @@ SimulationResult SimulationEngine::run() {
     }
   }
 
+  if (block_steps_ > 0) {
+    // The last, partial block.
+    obs::PhaseProfiler::Scope probe_phase(prof, "atlas-probing");
+    flush_probes(raw);
+  }
+
   {
-    // Data cleaning (§2.4.1): firmware + hijack rules.
+    // Data cleaning (§2.4.1): firmware + hijack rules, compacting the raw
+    // records in place into the result.
     obs::PhaseProfiler::Scope cleaning_phase(prof, "cleaning");
     const auto keep = atlas::select_vps(vps_, raw, &result.cleaning);
-    result.records = atlas::filter_records(raw, keep, &result.cleaning);
+    atlas::filter_records(raw, keep, &result.cleaning);
+    result.records = std::move(raw);
   }
 
   if (collector_) {
@@ -507,6 +539,9 @@ SimulationResult SimulationEngine::run() {
         .add(pool_->tasks_executed());
     metrics.counter("parallel.dispatches", {{"component", "engine"}})
         .add(pool_->dispatches());
+    // One probe dispatch per block of captured steps.
+    metrics.counter("atlas.probe_blocks", {{"component", "engine"}})
+        .add(probe_blocks_);
     // Fluid work: how many service-steps recomputed their per-site loads
     // and how many reused the previous step's (same catchment epoch and
     // rates). Tallied per service lane, so the parallel pass needs no
@@ -963,19 +998,74 @@ void SimulationEngine::record_rssac(net::SimTime now,
   }
 }
 
-void SimulationEngine::run_probes(net::SimTime step_begin,
-                                  atlas::RecordSet& raw) {
-  // The closure captures exactly 16 bytes, so std::function keeps it
-  // inline: dispatching the step allocates nothing.
-  pool_->parallel_for(probe_shards_.size(), [this, step_begin](std::size_t i) {
-    const net::SimTime step_end = step_begin + config_.step;
-    ProbeShard& shard = probe_shards_[i];
-    shard.records.clear();
-    const int s = shard.service;
-    const auto& svc = deployment_->services()[static_cast<std::size_t>(s)];
-    const auto& routes = deployment_->routing().routes(svc.prefix);
-    const std::int64_t interval =
-        probe_interval_ms_[static_cast<std::size_t>(s)];
+void SimulationEngine::capture_probe_step(net::SimTime step_begin) {
+  const std::size_t j = block_steps_++;
+  block_step_begin_[j] = step_begin;
+  const auto site_count = static_cast<std::size_t>(deployment_->site_count());
+  anycast::SiteProbeState* states = &block_site_states_[j * site_count];
+  for (std::size_t id = 0; id < site_count; ++id) {
+    states[id] = deployment_->site(static_cast<int>(id)).probe_state();
+  }
+  const auto& routing = deployment_->routing();
+  const auto& services = deployment_->services();
+  const std::size_t probed = probed_services_.size();
+  for (std::size_t k = 0; k < probed; ++k) {
+    const int prefix =
+        services[static_cast<std::size_t>(probed_services_[k])].prefix;
+    const std::uint64_t epoch = routing.catchment_epoch(prefix);
+    if (epoch != route_version_epoch_[k]) {
+      // Equal epochs imply an identical site_of, so only a moved epoch
+      // needs a copy. The ring slot after the newest copy is either
+      // unused in this block or held only by a version the block no
+      // longer references.
+      const std::uint32_t slot = static_cast<std::uint32_t>(
+          (route_version_slot_[k] + 1) % kProbeBlockSteps);
+      const auto site_of = routing.site_of(prefix);
+      std::copy(site_of.begin(), site_of.end(),
+                route_versions_.begin() +
+                    static_cast<std::ptrdiff_t>(
+                        (k * kProbeBlockSteps + slot) * probe_as_count_));
+      route_version_slot_[k] = slot;
+      route_version_epoch_[k] = epoch;
+    }
+    block_route_slot_[j * probed + k] = static_cast<std::uint32_t>(
+        k * kProbeBlockSteps + route_version_slot_[k]);
+  }
+}
+
+void SimulationEngine::flush_probes(atlas::RecordSet& raw) {
+  ++probe_blocks_;
+  // The closure captures only `this`, so std::function keeps it inline:
+  // dispatching the block allocates nothing.
+  pool_->parallel_for(probe_shards_.size(),
+                      [this](std::size_t i) { probe_block(probe_shards_[i]); });
+  // Deterministic merge: step by step, then shards in service-major,
+  // ascending-VP order, each in (VP, time) order within the step. That is
+  // the serial (step, service, VP, time) record stream exactly.
+  for (std::size_t j = 0; j < block_steps_; ++j) {
+    for (const ProbeShard& shard : probe_shards_) {
+      shard.records.append_to(raw, j == 0 ? 0 : shard.step_end[j - 1],
+                              shard.step_end[j]);
+    }
+  }
+  block_steps_ = 0;
+}
+
+void SimulationEngine::probe_block(ProbeShard& shard) {
+  shard.records.clear();
+  const int s = shard.service;
+  const std::int64_t interval =
+      probe_interval_ms_[static_cast<std::size_t>(s)];
+  const auto site_count = static_cast<std::size_t>(deployment_->site_count());
+  const std::size_t probed = probed_services_.size();
+  for (std::size_t j = 0; j < block_steps_; ++j) {
+    const net::SimTime step_begin = block_step_begin_[j];
+    const std::int64_t step_end = step_begin.ms + config_.step.ms;
+    const std::int32_t* site_of =
+        &route_versions_[block_route_slot_[j * probed + shard.probed_index] *
+                         probe_as_count_];
+    const anycast::SiteProbeState* states =
+        &block_site_states_[j * site_count];
     for (std::size_t v = shard.vp_begin; v < shard.vp_end; ++v) {
       const auto& vp = vps_[v];
       // Per-(VP, letter) phase spread across the whole probing interval,
@@ -989,29 +1079,24 @@ void SimulationEngine::run_probes(net::SimTime step_begin,
       std::int64_t offset = (step_begin.ms - phase) % interval;
       if (offset < 0) offset += interval;
       std::int64_t tp = step_begin.ms + ((interval - offset) % interval);
-      for (; tp < step_end.ms; tp += interval) {
+      for (; tp < step_end; tp += interval) {
         const net::SimTime when(tp);
         if (!config_.probe_window.contains(when)) continue;
         // A dropped-out VP is silent for the whole dropout window: no
         // record at all, like a real probe going dark. vp_dropped is a
         // pure hash, so this stays thread-order-invariant.
         if (fault_ && fault_->vp_dropped(vp.id, when)) continue;
-        probe_once(vp, s, routes, when, shard.records);
+        probe_once(vp, s, site_of, states, when, shard.records);
       }
     }
-  });
-  // Deterministic merge: shards are ordered service-major with ascending
-  // VP ranges and each appends in (VP, time) order, so packing the SoA
-  // lanes back to AoS in shard order reproduces the serial
-  // (service, VP, time) record stream exactly.
-  for (const ProbeShard& shard : probe_shards_) {
-    shard.records.append_to(raw);
+    shard.step_end[j] = static_cast<std::uint32_t>(shard.records.size());
   }
 }
 
 void SimulationEngine::probe_once(const atlas::VantagePoint& vp,
                                   int service_index,
-                                  const std::vector<bgp::RouteChoice>& routes,
+                                  const std::int32_t* site_of,
+                                  const anycast::SiteProbeState* states,
                                   net::SimTime when, atlas::RecordSoA& out) {
   // Every random draw for this probe comes from its own stream keyed on
   // (seed, service, VP, time): probe outcomes are a pure function of the
@@ -1032,16 +1117,17 @@ void SimulationEngine::probe_once(const atlas::VantagePoint& vp,
     return;
   }
 
-  const auto& route = routes[static_cast<std::size_t>(vp.as_index)];
-  if (!route.reachable()) {
+  // Unreachable ASes hold the sink slot site_count.
+  const std::int32_t site_id = site_of[vp.as_index];
+  if (site_id < 0 || site_id >= deployment_->site_count()) {
     out.push(rec);  // no route: query never arrives
     return;
   }
-  auto& site = deployment_->site(route.site_id);
+  auto& site = deployment_->site(site_id);
 
-  const auto reply = site.probe(
-      vp.address, chaos_query_[static_cast<std::size_t>(service_index)], when,
-      rng);
+  const auto reply = site.probe_with(
+      states[site_id], vp.address,
+      chaos_query_[static_cast<std::size_t>(service_index)], rng);
   if (!reply.answered) {
     out.push(rec);
     return;

@@ -35,6 +35,15 @@
 
 namespace rootstress::sim {
 
+/// Captured probe steps per flush. Inside the probe window every step
+/// captures what its probes would read (per-site probe state, per-service
+/// catchment version); every kProbeBlockSteps captured steps, and once
+/// after the last step, one parallel region runs the whole block's
+/// probes. 60 one-minute steps (one simulated hour) measured faster than
+/// blocks of 10 on replay_nov2015 (DESIGN.md, "Performance & threading
+/// model"); records are identical for any block length.
+inline constexpr std::size_t kProbeBlockSteps = 60;
+
 /// Immutable description of one site, copied out of the deployment so
 /// analyses do not need the live engine.
 struct SiteMeta {
@@ -156,16 +165,22 @@ class SimulationEngine : private playbook::ActuationBackend {
   };
 
   /// One unit of parallel probing: one service over one VP range, with
-  /// its own output records (merged in task order after the barrier, so
-  /// the record stream is identical to the serial service->VP->time
-  /// iteration for any thread count).
-  struct ProbeShard {
+  /// its own output records for every step of a probe block (merged step
+  /// by step, then in task order, after the barrier, so the record stream
+  /// is identical to the serial step->service->VP->time iteration for any
+  /// thread count). Cache-line aligned: neighbouring shards run on
+  /// different cores.
+  struct alignas(64) ProbeShard {
     int service = -1;
+    std::size_t probed_index = 0;  ///< position of `service` in probed_services_
     std::size_t vp_begin = 0;
     std::size_t vp_end = 0;
-    /// SoA staging lanes, reused across steps (capacity kept); packed to
-    /// AoS ProbeRecords at the deterministic merge.
+    /// SoA staging lanes for a whole block, sized in run() for the most
+    /// records kProbeBlockSteps steps can produce; packed to AoS
+    /// ProbeRecords at the deterministic merge.
     atlas::RecordSoA records;
+    /// records.size() after each block step (kProbeBlockSteps entries).
+    std::vector<std::uint32_t> step_end;
   };
 
   /// Heterogeneous string hash so CHAOS identity lookups take a
@@ -217,11 +232,24 @@ class SimulationEngine : private playbook::ActuationBackend {
   /// the fault schedule's legit demand scale, and advances every
   /// resolver one step. Purely observational for the server side.
   void run_resolver_step(net::SimTime t);
-  void run_probes(net::SimTime step_begin, atlas::RecordSet& raw);
+  /// Serial probe capture: records, for the step starting at
+  /// `step_begin`, every site's probe state and each probed service's
+  /// catchment version, as the next step of the open probe block.
+  void capture_probe_step(net::SimTime step_begin);
+  /// Runs the open (non-empty) block's probes in one parallel region
+  /// over probe_shards_ and appends their records to `raw` in step, then
+  /// shard order; empties the block.
+  void flush_probes(atlas::RecordSet& raw);
+  /// One shard's probes over every step of the open block.
+  void probe_block(ProbeShard& shard);
   void record_rssac(net::SimTime now, SimulationResult& result);
+  /// One probe against captured state: `site_of` is the service's
+  /// catchment (site per dense AS index, site_count when unreachable)
+  /// and `states` the sites' probe states of the probe's step.
   void probe_once(const atlas::VantagePoint& vp, int service_index,
-                  const std::vector<bgp::RouteChoice>& routes,
-                  net::SimTime when, atlas::RecordSoA& out);
+                  const std::int32_t* site_of,
+                  const anycast::SiteProbeState* states, net::SimTime when,
+                  atlas::RecordSoA& out);
 
   ScenarioConfig config_;
   int threads_ = 1;
@@ -252,6 +280,27 @@ class SimulationEngine : private playbook::ActuationBackend {
   std::vector<std::vector<std::pair<int, double>>> facility_contrib_;
   /// Parallel probing shards, service-major then VP-ascending.
   std::vector<ProbeShard> probe_shards_;
+  /// The open probe block: captured steps so far, and per step its begin
+  /// time, every site's probe state (site_count per step) and, per probed
+  /// service, the route_versions_ slot of its catchment. Sized in run()
+  /// for kProbeBlockSteps steps.
+  std::size_t block_steps_ = 0;
+  std::vector<net::SimTime> block_step_begin_;
+  std::vector<anycast::SiteProbeState> block_site_states_;
+  std::vector<std::uint32_t> block_route_slot_;
+  /// Copies of AnycastRouting::site_of(prefix): kProbeBlockSteps ring
+  /// slots of probe_as_count_ entries per probed service. A copy is made
+  /// only when the prefix's catchment_epoch moved since the newest one.
+  /// A block of kProbeBlockSteps steps references at most that many
+  /// versions of a service, so the ring never overwrites one still in
+  /// use.
+  std::vector<std::int32_t> route_versions_;
+  std::size_t probe_as_count_ = 0;
+  /// Per probed service: epoch and ring slot of the newest copy.
+  std::vector<std::uint64_t> route_version_epoch_;
+  std::vector<std::uint32_t> route_version_slot_;
+  /// Probe flushes run (telemetry: atlas.probe_blocks).
+  std::uint64_t probe_blocks_ = 0;
   /// Cached decoded CHAOS query per service: built (encode + decode wire
   /// once) at construction instead of per probe. The message id is fixed
   /// per service; replies echo it but nothing downstream reads it.

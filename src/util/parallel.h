@@ -1,11 +1,12 @@
 // Deterministic fixed-worker parallelism for the simulation hot loops.
 //
-// The engine's per-step work (fluid load splitting per service, Atlas
-// probing per VP shard) is embarrassingly parallel *within* a step, but
-// the step sequence itself is stateful and must stay sequential. This
-// pool is built for that shape: one dispatch per phase per step
-// (thousands per run), each fanning a small fixed index range across a
-// fixed set of workers.
+// The engine's work inside a step (fluid load splitting per service) and
+// across a block of captured steps (Atlas probing per service and VP
+// shard) is embarrassingly parallel, but the step sequence itself is
+// stateful and must stay sequential. This pool is built for that shape:
+// thousands of short dispatches per run (each fluid pass once per step,
+// probing once per block of steps), each fanning a small fixed index
+// range across a fixed set of workers.
 //
 // Design rules, in priority order:
 //

@@ -133,5 +133,22 @@ TEST_F(DeploymentTest, PeerStubsAttached) {
   EXPECT_GT(peers, 3);
 }
 
+TEST(SyntheticSiteCode, KeepsTheFourDigitFormatBelowOneHundredThousand) {
+  // The former "Z%c%04d" codes, byte for byte.
+  EXPECT_EQ(synthetic_site_code('A', 0), "ZA0000");
+  EXPECT_EQ(synthetic_site_code('A', 17), "ZA0017");
+  EXPECT_EQ(synthetic_site_code('C', 9999), "ZC9999");
+  EXPECT_EQ(synthetic_site_code('A', 10000), "ZA10000");
+  EXPECT_EQ(synthetic_site_code('B', 99999), "ZB99999");
+}
+
+TEST(SyntheticSiteCode, NeverTruncates) {
+  // A fixed 8-byte buffer turned site 100000 into "ZA10000", the code of
+  // site 10000.
+  EXPECT_EQ(synthetic_site_code('A', 100000), "ZA100000");
+  EXPECT_NE(synthetic_site_code('A', 100000), synthetic_site_code('A', 10000));
+  EXPECT_EQ(synthetic_site_code('A', 1234567), "ZA1234567");
+}
+
 }  // namespace
 }  // namespace rootstress::anycast

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "dns/chaos.h"
 #include "dns/wire.h"
 
@@ -56,6 +58,44 @@ TEST(Site, IdleSiteAnswersEveryProbe) {
     ASSERT_TRUE(id.has_value());
     EXPECT_EQ(id->site, "AMS");
     EXPECT_EQ(id->server, reply.server);
+  }
+}
+
+TEST(Site, CapturedProbeStateReplaysItsStep) {
+  // Probing a captured state after the site has stepped on (quiet ->
+  // overloaded -> withdrawn) answers exactly as probing during the
+  // captured step did: the state holds everything per-step a probe reads.
+  for (const auto mode :
+       {ServerStressMode::kShareCongestion, ServerStressMode::kConcentrate}) {
+    auto site = make_site(mode);
+    const auto query = *dns::decode(chaos_wire());
+    site.begin_step(250e3, 1000.0, 0.0, net::SimTime(0));
+    const SiteProbeState overloaded = site.probe_state();
+    ASSERT_TRUE(overloaded.overloaded);
+    std::vector<ProbeReply> live;
+    for (std::uint32_t i = 0; i < 64; ++i) {
+      util::Rng rng(i);
+      live.push_back(site.probe(net::Ipv4Addr(i * 7919), query,
+                                net::SimTime(0), rng));
+    }
+    site.begin_step(0.0, 1000.0, 0.0, net::SimTime(60'000));
+    site.set_scope(SiteScope::kDown);
+    for (std::uint32_t i = 0; i < 64; ++i) {
+      util::Rng rng(i);
+      const ProbeReply replay =
+          site.probe_with(overloaded, net::Ipv4Addr(i * 7919), query, rng);
+      const ProbeReply& then = live[i];
+      ASSERT_EQ(replay.answered, then.answered) << i;
+      EXPECT_EQ(replay.server, then.server) << i;
+      EXPECT_EQ(replay.extra_delay_ms, then.extra_delay_ms) << i;
+      ASSERT_EQ(replay.wire.size, then.wire.size) << i;
+      EXPECT_TRUE(std::equal(replay.wire.bytes.begin(),
+                             replay.wire.bytes.begin() + replay.wire.size,
+                             then.wire.bytes.begin()))
+          << i;
+    }
+    EXPECT_FALSE(site.probe_state().overloaded);
+    EXPECT_TRUE(site.probe_state().down);
   }
 }
 

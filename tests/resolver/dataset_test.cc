@@ -22,7 +22,7 @@ sim::ScenarioConfig label_config() {
   config.schedule = attack::AttackSchedule({attack::AttackEvent{
       net::SimInterval{net::SimTime::from_minutes(10),
                        net::SimTime::from_minutes(20)},
-      1e6}});
+      1e6, ""}});
   fault::LegitSurge surge;
   surge.window = net::SimInterval{net::SimTime::from_minutes(30),
                                   net::SimTime::from_minutes(40)};
@@ -58,7 +58,7 @@ sim::ScenarioConfig tiny_run_config() {
   config.schedule = attack::AttackSchedule({attack::AttackEvent{
       net::SimInterval{net::SimTime::from_minutes(30),
                        net::SimTime::from_minutes(60)},
-      5e6}});
+      5e6, ""}});
   resolver::PopulationConfig profile;
   profile.resolvers = 64;
   profile.root_lookups_per_hour = 600.0;
